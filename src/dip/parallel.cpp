@@ -1,8 +1,6 @@
 #include "dip/parallel.hpp"
 
 #include <algorithm>
-
-#include "dip/cancel.hpp"
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -34,10 +32,6 @@ int default_threads() {
 // itself never depends on the thread count.
 struct Job {
   const detail::RangeBody* body = nullptr;
-  // The calling thread's cancellation token, captured at dispatch so pool
-  // workers poll the same deadline the caller is bound by. Checked between
-  // chunks (a claimed chunk always runs to completion).
-  const CancelToken* cancel = nullptr;
   std::int64_t n = 0;
   std::int64_t grain = 1;
   std::int64_t chunks = 0;
@@ -59,21 +53,9 @@ struct Job {
   void run_chunks() {
     const bool timed = busy_ns != nullptr;
     const std::int64_t t0 = timed ? obs::now_ns() : 0;
-    // Workers adopt the caller's token for the duration of their chunk work
-    // so nested inline regions inside the body hit checkpoints too.
-    ScopedCancelToken adopt(cancel);
     while (true) {
       const std::int64_t chunk = next.fetch_add(1, std::memory_order_relaxed);
       if (chunk >= chunks) break;
-      if (cancel != nullptr && cancel->expired()) {
-        std::lock_guard<std::mutex> lk(error_mu);
-        if (error_chunk == -1 || chunk < error_chunk) {
-          error_chunk = chunk;
-          error = std::make_exception_ptr(CancelledError(
-              cancel->cancel_requested() ? "execution cancelled" : "deadline exceeded"));
-        }
-        break;
-      }
       const std::int64_t begin = bounds != nullptr ? bounds[chunk] : chunk * grain;
       const std::int64_t end =
           bounds != nullptr ? bounds[chunk + 1] : (begin + grain < n ? begin + grain : n);
@@ -96,9 +78,9 @@ struct Job {
 
 // True while this thread is executing the body of a parallel region — on the
 // calling thread for the duration of the region, and on a pool worker while
-// it runs chunks. Nested parallel_for calls check it and run inline, which is
-// what keeps Pool::run non-reentrant (a worker that re-entered the pool would
-// deadlock waiting for itself to service the inner job).
+// it runs chunks. Nested parallel_for calls check it and run inline without
+// entering Pool::run, so they neither take the pool lock nor meter a region
+// of their own.
 thread_local bool tl_in_parallel_region = false;
 
 struct RegionGuard {
@@ -114,9 +96,14 @@ class Pool {
     return pool;
   }
 
-  void run(Job& job, int helpers) {
+  /// Runs `job` on the caller plus `helpers` workers and returns true. The
+  /// pool has one job slot: a caller that finds another thread's job in it
+  /// returns false at once and must run its chunks alone, as a nested region
+  /// does. Publishing over the live job would strand its late workers.
+  bool run(Job& job, int helpers) {
     {
       std::lock_guard<std::mutex> lk(mu_);
+      if (job_ != nullptr) return false;
       while (static_cast<int>(workers_.size()) < helpers) {
         workers_.emplace_back([this] { worker_loop(); });
       }
@@ -133,6 +120,7 @@ class Pool {
     std::unique_lock<std::mutex> lk(mu_);
     done_.wait(lk, [&] { return job.active.load(std::memory_order_acquire) == 0; });
     job_ = nullptr;
+    return true;
   }
 
  private:
@@ -196,7 +184,6 @@ namespace {
 /// chunks >= 2, and the caller wants real parallelism.
 void dispatch_job(Job& job, int threads, const detail::RangeBody& body) {
   job.body = &body;
-  job.cancel = detail::current_cancel_token();
   const int helpers = static_cast<int>(std::min<std::int64_t>(threads - 1, job.chunks - 1));
   const bool timed = obs::metrics_enabled();
   std::vector<std::int64_t> busy;
@@ -205,15 +192,15 @@ void dispatch_job(Job& job, int threads, const detail::RangeBody& body) {
     job.busy_ns = &busy;
   }
   const std::int64_t t0 = timed ? obs::now_ns() : 0;
+  bool pooled = false;
   {
     RegionGuard region;
-    if (helpers <= 0) {
-      job.run_chunks();
-    } else {
-      Pool::instance().run(job, helpers);
-    }
+    pooled = Pool::instance().run(job, helpers);
+    if (!pooled) job.run_chunks();
   }
   if (timed) {
+    // A region its caller ran alone is metered as a one-thread region.
+    if (!pooled) busy.resize(1);
     obs::MetricsRegistry::instance().record_parallel(obs::now_ns() - t0, busy, job.n);
   }
   if (job.error) std::rethrow_exception(job.error);
@@ -222,9 +209,6 @@ void dispatch_job(Job& job, int threads, const detail::RangeBody& body) {
 /// Inline fallbacks shared by both entry points. Returns true when the loop
 /// already ran (nested region, single thread, or a single chunk).
 bool ran_inline(std::int64_t n, std::int64_t chunks, int threads, const detail::RangeBody& body) {
-  // Every region entry is a cancellation checkpoint, so even fully inline
-  // execution (one thread, nested regions) observes deadlines between loops.
-  throw_if_cancelled();
   // Nested regions run inline on their worker; their time is already inside
   // the outer region's busy slots, so they are never metered separately.
   if (tl_in_parallel_region) {

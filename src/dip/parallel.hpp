@@ -5,6 +5,10 @@
 // the labels of v's closed neighborhood, and writes only v's accept flag.
 // parallel_for runs such loops on a persistent std::thread pool.
 //
+// The pool is process-wide and serves one region at a time: a region that
+// starts while another thread's region holds the pool runs inline on its own
+// caller, as nested regions do.
+//
 // Determinism contract: the loop body must write only to slots owned by its
 // index (disjoint writes) and must not read anything another iteration
 // writes. Under that contract the result is byte-identical for every thread

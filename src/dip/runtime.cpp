@@ -1,7 +1,6 @@
 #include "dip/runtime.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <limits>
 #include <string>
 
@@ -13,12 +12,7 @@
 namespace lrdip {
 namespace {
 
-/// One item, with its cancellation token installed for the duration. The
-/// token must be live before the Rng is even seeded so a deadline that
-/// passed while the item sat in a queue aborts before any work.
 Outcome run_item(const BatchItem& it, const RunOptions& opt) {
-  ScopedCancelToken scope(it.cancel);
-  throw_if_cancelled();
   Rng rng(it.seed);
   return run_protocol(it.inst, opt, rng, it.faults);
 }
@@ -29,7 +23,7 @@ std::vector<BatchItem> replicate_item(const Instance& inst, std::uint64_t seed0,
   std::vector<BatchItem> items;
   items.reserve(static_cast<std::size_t>(k));
   for (int i = 0; i < k; ++i) {
-    items.push_back({inst, seed0 + static_cast<std::uint64_t>(i), nullptr, nullptr});
+    items.push_back({inst, seed0 + static_cast<std::uint64_t>(i)});
   }
   return items;
 }
@@ -116,37 +110,6 @@ ShardRunReport Runtime::run_sharded(const ShardManifest& manifest,
 ShardRunReport Runtime::run_sharded(const std::string& manifest_path,
                                     const ShardRunOptions& opt) const {
   return run_sharded(read_shard_manifest(manifest_path, opt.limits), opt);
-}
-
-std::vector<ItemResult> Runtime::run_batch_isolated(std::span<const BatchItem> items) const {
-  std::vector<ItemResult> out(items.size());
-  std::vector<std::size_t> small;
-  std::vector<std::size_t> large;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    (items[i].inst.graph().n() < cfg_.small_instance_threshold ? small : large).push_back(i);
-  }
-  // The isolation boundary: whatever one execution does — a deadline firing
-  // at a chunk checkpoint, a defective certificate tripping an invariant —
-  // lands in that item's slot and nowhere else.
-  const auto run_isolated = [&](std::size_t idx) {
-    ItemResult& r = out[idx];
-    try {
-      r.outcome = run_item(items[idx], cfg_.options);
-      r.status = ItemStatus::ok;
-    } catch (const CancelledError& ex) {
-      r.status = ItemStatus::cancelled;
-      r.error = ex.what();
-    } catch (const std::exception& ex) {
-      r.status = ItemStatus::error;
-      r.error = ex.what();
-    }
-  };
-  parallel_for(
-      static_cast<std::int64_t>(small.size()),
-      [&](std::int64_t i) { run_isolated(small[static_cast<std::size_t>(i)]); },
-      /*grain=*/1);
-  for (const std::size_t idx : large) run_isolated(idx);
-  return out;
 }
 
 }  // namespace lrdip

@@ -23,7 +23,10 @@
 // Determinism contract: every item carries its own seed and its Outcome
 // depends on nothing but (instance, seed, options). run_batch is therefore
 // bit-identical to the sequential loop `for (item : items) run(item)` at any
-// thread count, including 1.
+// thread count, including 1. Several threads may share one Runtime: the
+// engine's pool serves one region at a time, and a region started while
+// another thread's holds it runs inline on its caller, which the contract
+// makes unobservable.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "dip/cancel.hpp"
 #include "dip/store.hpp"
 #include "graph/shard.hpp"
 #include "protocols/registry.hpp"
@@ -48,29 +50,11 @@ class FaultInjector;
 /// FaultInjector or a strategic prover from src/adversary). Adversaries are
 /// stateful per run, so every item must carry its OWN object — items sharing
 /// one pointer would race across batch workers and break the determinism
-/// contract. `cancel`, when non-null, is installed for the item's execution:
-/// parallel-engine chunk boundaries poll it, and an expired token aborts the
-/// item with CancelledError (run_batch lets it propagate; the isolated path
-/// classifies it per item).
+/// contract.
 struct BatchItem {
   Instance inst;
   std::uint64_t seed = 1;
   FaultInjector* faults = nullptr;
-  const CancelToken* cancel = nullptr;
-};
-
-/// How one item of run_batch_isolated ended. Items are independent: one
-/// cancelled or faulting item never disturbs its batch-mates.
-enum class ItemStatus : std::uint8_t {
-  ok = 0,        ///< outcome holds a real verdict (accept or reject)
-  cancelled,     ///< the item's CancelToken expired (deadline or cancel())
-  error,         ///< an exception escaped the execution; `error` has what()
-};
-
-struct ItemResult {
-  Outcome outcome;  // meaningful only when status == ok
-  ItemStatus status = ItemStatus::ok;
-  std::string error;
 };
 
 /// Options of the sharded verification path.
@@ -128,16 +112,9 @@ class Runtime {
 
   /// Executes every item and returns Outcomes in item order. Bit-identical to
   /// the sequential per-item loop at any thread count (see file comment).
-  /// Exceptions (including CancelledError from an item token) propagate.
+  /// An exception from any item (InvariantError from a defective instance)
+  /// propagates; transcript defects are verdicts, not exceptions.
   std::vector<Outcome> run_batch(std::span<const BatchItem> items) const;
-
-  /// The service-grade batch path: same scheduling and bit-identical verdicts
-  /// as run_batch, but NOTHING escapes. Each item's cancellation or failure
-  /// is classified into its own ItemResult — one malformed or deadline-busted
-  /// item never takes down the batch. (InvariantError from a defective
-  /// instance surfaces as ItemStatus::error; transcript defects were already
-  /// verdicts, not exceptions, by the PR 2 contract.)
-  std::vector<ItemResult> run_batch_isolated(std::span<const BatchItem> items) const;
 
   /// The streaming scale path: maps the manifest's shards one at a time (in
   /// position order), feeds them through a ShardSweep, and never materializes

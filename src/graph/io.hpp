@@ -8,13 +8,13 @@
 //   rotation                         (then n lines: "r <v> <e1> <e2> ...")
 //   tails <t0> ... <t_{m-1}>         (orientation: tail node id per edge)
 //
-// Used by the CLI, the service and the examples; intentionally minimal and
-// strict. Two reader surfaces:
+// Used by the CLI and the examples; intentionally minimal and strict. Two
+// reader surfaces:
 //
 //   * read_graph_checked never throws on bad *input*: truncated, corrupt,
 //     or oversized streams come back as a structured GraphReadResult with a
-//     line-numbered message, so servers and batch drivers classify instead
-//     of unwinding. Resource bounds (GraphReadLimits) are enforced before
+//     line-numbered message, so callers can classify instead of
+//     unwinding. Resource bounds (GraphReadLimits) are enforced before
 //     allocation — a header declaring 2^30 nodes is an error, not an OOM.
 //   * read_graph / read_graph_file keep the historical throwing contract
 //     (GraphParseError, an InvariantError subtype) for call sites where
@@ -49,7 +49,8 @@ class GraphParseError : public InvariantError {
 };
 
 /// Resource ceilings enforced by the checked reader *before* allocating.
-/// Defaults fit the one-shot tools; the service narrows them per request.
+/// Defaults fit the one-shot tools; callers reading untrusted input can
+/// narrow them.
 struct GraphReadLimits {
   int max_nodes = 1 << 24;
   long long max_edges = 1ll << 26;

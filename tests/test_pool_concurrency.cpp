@@ -1,17 +1,20 @@
-// Slab-pool behavior under concurrent Runtime batch callers.
+// Slab-pool and thread-pool behavior under concurrent Runtime batch callers.
 //
-// The service runs many verifications through one shared Runtime from
-// several worker threads at once, which makes three pool properties
-// load-bearing:
-//   * concurrent run_batch calls recycle buffers through per-thread free
-//     lists without corrupting each other's executions (verdicts stay
-//     bit-identical to a sequential reference);
+// Both pools are process-wide: any two library threads can reach them at
+// once, for instance two threads sharing one Runtime. That makes these
+// properties load-bearing:
+//   * concurrent run_batch calls make progress and recycle buffers through
+//     per-thread free lists without corrupting each other's executions
+//     (verdicts stay bit-identical to a sequential reference). The parallel
+//     engine has one job slot, so a caller that finds it taken runs its
+//     region inline; ConcurrentRunBatchMatchesSequentialReference and
+//     ManyConcurrentCallersSurviveChurn are the regression tests for that
+//     rule;
 //   * retain/release stays balanced across nested Runtime lifetimes, so the
-//     pool switches off exactly when the last Runtime dies;
+//     slab pool switches off exactly when the last Runtime dies;
 //   * recycled buffers carry no state between executions — a rerun of the
 //     same (instance, seed) after arbitrary interleaved foreign work
-//     reproduces the same Outcome to the bit (the digest-parity guarantee
-//     the service advertises depends on it).
+//     reproduces the same Outcome to the bit.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -85,7 +88,7 @@ TEST(PoolConcurrency, ThreadCacheFillsAndClears) {
 TEST(PoolConcurrency, ConcurrentRunBatchMatchesSequentialReference) {
   Runtime rt;
   // Per-thread work: each thread gets its own instance family slice and a
-  // disjoint seed range, mirroring the service's coalesced worker batches.
+  // disjoint seed range.
   constexpr int kThreads = 4;
   constexpr int kItems = 6;
   std::vector<std::vector<BoundInstance>> owned(kThreads);
