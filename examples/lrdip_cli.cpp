@@ -7,8 +7,6 @@
 //         [--models m1,m2,...] [--seed S] [--c C] [--trials T]
 //   lrdip soundness --task <name> [--strategy S] [--n N] [--trials T]
 //         [--seed S] [--c C] [--json]
-//   lrdip shard-gen <family> <n> <shards> <out-dir> [--seed S] [--cols C]
-//   lrdip shard-verify <manifest> [--coin-seed S] [--json] [--no-drop-behind]
 //   lrdip planarity <graph-file> [--engine bm|demoucron] [--json]
 //   lrdip run <task> <graph-file> [...]
 //   lrdip list-tasks
@@ -19,13 +17,6 @@
 // as edge ids) on non-planar ones. Because the token shadows the planarity
 // *task*, `lrdip run <task> <graph>` invokes any task's interactive protocol
 // unambiguously.
-//
-// shard-gen/shard-verify are the scale substrate (graph/shard.hpp): shard-gen
-// emits a directory of seed-deterministic CSR shards plus manifest.json
-// without ever materializing the instance, and shard-verify streams them
-// through the Runtime's sharded path with bounded resident memory. The
-// printed digest is bit-identical across shard counts of the same
-// (params, coin seed) — the property the CI scale gate pins.
 //
 // The task tokens, their certificate requirements, and the dispatch itself
 // all come from the protocol registry (protocols/registry.hpp) — the CLI adds
@@ -45,7 +36,8 @@
 //   0  the verification accepted (or the subcommand completed);
 //   1  the verification rejected (an answer, not an error);
 //   2  usage or malformed input: bad flags, unknown tasks, graph files that
-//      do not parse, manifests or certificates the task cannot use;
+//      do not parse, manifests or certificates the task cannot use, `gen`
+//      sizes the family cannot build;
 //   3  internal error — anything that is the tool's fault, not the input's.
 #include <array>
 #include <cstring>
@@ -62,7 +54,6 @@
 #include "dip/parallel.hpp"
 #include "dip/runtime.hpp"
 #include "gen/generators.hpp"
-#include "gen/shard_gen.hpp"
 #include "graph/boyer_myrvold.hpp"
 #include "graph/io.hpp"
 #include "graph/kuratowski.hpp"
@@ -92,8 +83,6 @@ int usage() {
                "        [--models m1,m2,...] [--seed S] [--c C] [--trials T] [--metrics json|csv]\n"
                "  lrdip soundness --task <name> [--strategy replay|greedy|seeded-random]\n"
                "        [--n N] [--trials T (default 24)] [--seed S] [--c C] [--json]\n"
-               "  lrdip shard-gen <family> <n> <shards> <out-dir> [--seed S] [--cols C]\n"
-               "  lrdip shard-verify <manifest> [--coin-seed S] [--json] [--no-drop-behind]\n"
                "  lrdip planarity <graph-file> [--engine bm|demoucron] [--json]\n"
                "  lrdip run <task> <graph-file> [options as above]\n"
                "  lrdip list-tasks\n"
@@ -124,10 +113,6 @@ struct Options {
   std::string strategy = "greedy";
   int n = 256;
   bool json = false;
-  // shard subcommands only:
-  std::uint64_t coin_seed = 1;
-  std::uint64_t cols = 0;
-  bool drop_behind = true;
   // planarity subcommand only:
   std::string engine = "bm";
 };
@@ -182,12 +167,6 @@ Options parse_options(int argc, char** argv, int from) {
       opt.n = std::stoi(next());
     } else if (a == "--json") {
       opt.json = true;
-    } else if (a == "--coin-seed") {
-      opt.coin_seed = std::stoull(next());
-    } else if (a == "--cols") {
-      opt.cols = std::stoull(next());
-    } else if (a == "--no-drop-behind") {
-      opt.drop_behind = false;
     } else if (a == "--engine") {
       opt.engine = next();
       if (opt.engine != "bm" && opt.engine != "demoucron") {
@@ -415,114 +394,39 @@ int run_soundness(const Options& opt) {
 int run_gen(const std::string& family, int n, const std::string& out, const Options& opt) {
   Rng rng(opt.seed);
   GraphFile gf;
-  if (family == "path-outerplanar") {
-    auto inst = random_path_outerplanar(n, 1.0, rng);
-    gf.graph = std::move(inst.graph);
-    gf.order = std::move(inst.order);
-  } else if (family == "outerplanar") {
-    gf.graph = random_outerplanar(n, std::max(1, n / 64), rng);
-  } else if (family == "planar") {
-    auto inst = random_planar(n, 0.4, rng);
-    gf.graph = std::move(inst.graph);
-    gf.rotation = std::move(inst.rotation);
-  } else if (family == "series-parallel") {
-    gf.graph = random_series_parallel(n, rng).graph;
-  } else if (family == "treewidth2") {
-    gf.graph = random_treewidth2(n, std::max(1, n / 64), rng);
-  } else if (family == "lr-yes" || family == "lr-no") {
-    const LrInstance inst =
-        family == "lr-yes" ? random_lr_yes(n, 1.0, rng) : random_lr_no(n, 1.0, 1, rng);
-    gf.graph = inst.graph;
-    gf.order = inst.order;
-    std::vector<int> pos(inst.graph.n());
-    for (int i = 0; i < inst.graph.n(); ++i) pos[inst.order[i]] = i;
-    std::vector<NodeId> tails(inst.graph.m());
-    for (EdgeId e = 0; e < inst.graph.m(); ++e) {
-      const auto [u, v] = inst.graph.endpoints(e);
-      const NodeId early = pos[u] < pos[v] ? u : v;
-      tails[e] = inst.forward[e] ? early : inst.graph.other_end(e, early);
+  // The generators CHECK their own size floors, some of them seed-dependent
+  // (lr-no needs an arc to flip); at this boundary n is the caller's input.
+  try {
+    if (family == "path-outerplanar") {
+      auto inst = random_path_outerplanar(n, 1.0, rng);
+      gf.graph = std::move(inst.graph);
+      gf.order = std::move(inst.order);
+    } else if (family == "outerplanar") {
+      gf.graph = random_outerplanar(n, std::max(1, n / 64), rng);
+    } else if (family == "planar") {
+      auto inst = random_planar(n, 0.4, rng);
+      gf.graph = std::move(inst.graph);
+      gf.rotation = std::move(inst.rotation);
+    } else if (family == "series-parallel") {
+      gf.graph = random_series_parallel(n, rng).graph;
+    } else if (family == "treewidth2") {
+      gf.graph = random_treewidth2(n, std::max(1, n / 64), rng);
+    } else if (family == "lr-yes" || family == "lr-no") {
+      const LrInstance inst =
+          family == "lr-yes" ? random_lr_yes(n, 1.0, rng) : random_lr_no(n, 1.0, 1, rng);
+      gf.graph = inst.graph;
+      gf.order = inst.order;
+      gf.tails = lr_claimed_tails(inst);
+    } else {
+      return usage();
     }
-    gf.tails = std::move(tails);
-  } else {
-    return usage();
+  } catch (const InvariantError& e) {
+    throw UsageError(e.what());
   }
   write_graph_file(out, gf);
   std::cout << "wrote " << family << " instance: n=" << gf.graph.n() << " m=" << gf.graph.m()
             << " -> " << out << "\n";
   return 0;
-}
-
-int run_shard_gen(const std::string& family_name, const std::string& n_str,
-                  const std::string& shards_str, const std::string& dir, const Options& opt) {
-  const auto family = shard_family_from_name(family_name);
-  if (!family.has_value()) {
-    throw UsageError("unknown shard family: " + family_name +
-                     " (families: path-outerplanar grid)");
-  }
-  ShardParams params;
-  params.family = *family;
-  params.n = std::stoull(n_str);
-  params.seed = opt.seed;
-  params.cols = opt.cols;
-  const std::uint64_t count = std::stoull(shards_str);
-  const ShardLimits limits;
-  if (params.n == 0 || params.n > limits.max_nodes) {
-    throw UsageError("n out of range (max " + std::to_string(limits.max_nodes) + ")");
-  }
-  if (count == 0 || count > limits.max_shards || count > params.n) {
-    throw UsageError("shard count out of range");
-  }
-  // Parameter defects (grid n % cols, arc fraction) trip LRDIP_CHECK inside
-  // the emitters; at this boundary they are the caller's input.
-  ShardManifest manifest;
-  try {
-    manifest = emit_shards(params, static_cast<std::uint32_t>(count), dir);
-  } catch (const InvariantError& e) {
-    throw UsageError(e.what());
-  }
-  std::cout << "wrote " << family_name << " shards: n=" << params.n
-            << " m=" << manifest.total_halves / 2 << " shards=" << manifest.shard_count
-            << " seed=" << params.seed << " -> " << dir << "/manifest.json\n";
-  return 0;
-}
-
-int run_shard_verify(const std::string& manifest_arg, const Options& opt) {
-  std::filesystem::path mp(manifest_arg);
-  if (std::filesystem::is_directory(mp)) mp /= "manifest.json";
-
-  MeteredSection metered(opt);
-  const Runtime rt(Runtime::Config{{opt.c}});
-  ShardRunOptions sopt;
-  sopt.verify.coin_seed = opt.coin_seed;
-  sopt.verify.drop_behind = opt.drop_behind;
-  const ShardRunReport rep = rt.run_sharded(mp.string(), sopt);
-  metered.flush(std::cout);
-
-  char digest_hex[20];
-  std::snprintf(digest_hex, sizeof digest_hex, "0x%016llx",
-                static_cast<unsigned long long>(rep.digest));
-  if (opt.json) {
-    // One flat object on stdout: what the CI scale gate and bench_scale parse.
-    std::cout << "{\"accepted\": " << (rep.outcome.accepted ? "true" : "false")
-              << ", \"digest\": \"" << digest_hex << "\", \"n\": " << rep.n
-              << ", \"halves\": " << rep.halves << ", \"shards\": " << rep.shard_count
-              << ", \"coin_seed\": " << opt.coin_seed
-              << ", \"max_stack_depth\": " << rep.max_stack_depth
-              << ", \"peak_rss_kb\": " << rep.peak_rss_kb << ", \"reject_reason\": \""
-              << reject_reason_name(rep.outcome.reject_reason) << "\"}\n";
-  }
-  std::ostream& os = opt.json || !opt.metrics.empty() ? std::cerr : std::cout;
-  os << "shard-verify: " << (rep.outcome.accepted ? "ACCEPTED" : "REJECTED") << "  n=" << rep.n
-     << "  m=" << rep.halves / 2 << "  shards=" << rep.shard_count << "  digest=" << digest_hex
-     << "  max_stack_depth=" << rep.max_stack_depth << "  peak_rss_kb=" << rep.peak_rss_kb
-     << "\n";
-  if (!rep.outcome.accepted) {
-    os << "reject_reason=" << reject_reason_name(rep.outcome.reject_reason)
-       << "  rejected_rows=" << rep.outcome.rejected_nodes << "\n";
-    os << "repro: lrdip shard-verify " << manifest_arg << " --coin-seed " << opt.coin_seed
-       << "\n";
-  }
-  return rep.outcome.accepted ? 0 : 1;
 }
 
 /// Centralized planarity check: exit 0 = planar (an answer), 1 = non-planar
@@ -615,13 +519,6 @@ int main(int argc, char** argv) {
     }
     if (cmd == "soundness") {
       return run_soundness(parse_options(argc, argv, 2));
-    }
-    if (cmd == "shard-gen") {
-      if (argc < 6) return usage();
-      return run_shard_gen(argv[2], argv[3], argv[4], argv[5], parse_options(argc, argv, 6));
-    }
-    if (cmd == "shard-verify") {
-      return run_shard_verify(argv[2], parse_options(argc, argv, 3));
     }
     if (cmd == "planarity") {
       return run_planarity_check(argv[2], parse_options(argc, argv, 3));

@@ -31,13 +31,10 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "dip/store.hpp"
-#include "graph/shard.hpp"
 #include "protocols/registry.hpp"
-#include "protocols/shard_verify.hpp"
 #include "support/rng.hpp"
 
 namespace lrdip {
@@ -55,30 +52,6 @@ struct BatchItem {
   Instance inst;
   std::uint64_t seed = 1;
   FaultInjector* faults = nullptr;
-};
-
-/// Options of the sharded verification path.
-struct ShardRunOptions {
-  ShardVerifyOptions verify;
-  ShardLimits limits;
-};
-
-/// What one sharded run produced, beyond the Outcome: the shard-count-
-/// invariant transcript digest (what the CI scale gate pins), instance
-/// totals, and coarse residency telemetry.
-struct ShardRunReport {
-  Outcome outcome;
-  std::uint64_t digest = 0;
-  std::uint64_t n = 0;
-  std::uint64_t halves = 0;
-  std::uint32_t shard_count = 0;
-  /// Deepest the nesting carry stack got (path_outerplanar; O(log n) for the
-  /// dyadic family — the number that makes bounded-memory sharding work).
-  std::uint64_t max_stack_depth = 0;
-  /// Process VmHWM after the run, KiB. Monotone per process, so this is an
-  /// upper bound; per-phase gating forks per cell (bench_scale) or wraps the
-  /// CLI in /usr/bin/time -v (the CI gate).
-  std::uint64_t peak_rss_kb = 0;
 };
 
 /// The per-coin-seed replication axis: K executions of one instance that
@@ -115,21 +88,6 @@ class Runtime {
   /// An exception from any item (InvariantError from a defective instance)
   /// propagates; transcript defects are verdicts, not exceptions.
   std::vector<Outcome> run_batch(std::span<const BatchItem> items) const;
-
-  /// The streaming scale path: maps the manifest's shards one at a time (in
-  /// position order), feeds them through a ShardSweep, and never materializes
-  /// a Graph — resident memory is bounded by one drop-behind window, not by
-  /// n. The Outcome, digest and metrics are bit-identical for every shard
-  /// count of the same (params, coin_seed); the monolithic path is the
-  /// shard_count == 1 special case. Structural damage (unreadable file,
-  /// header/manifest disagreement) throws GraphParseError; prover-attributable
-  /// defects (bad rows, checksum mismatches, failed PIT) come back as a
-  /// rejecting Outcome.
-  ShardRunReport run_sharded(const ShardManifest& manifest,
-                             const ShardRunOptions& opt = {}) const;
-  /// Convenience wrapper: read + validate the manifest at `path` first.
-  ShardRunReport run_sharded(const std::string& manifest_path,
-                             const ShardRunOptions& opt = {}) const;
 
  private:
   Config cfg_;

@@ -4,7 +4,6 @@
 #include <numeric>
 #include <set>
 
-#include "gen/shard_gen.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/boyer_myrvold.hpp"
 #include "graph/embedder.hpp"
@@ -611,14 +610,6 @@ LrInstance random_lr_no(int n, double arc_factor, int flips, Rng& rng) {
   }
   inst.yes = false;
   return inst;
-}
-
-PathOuterplanarInstance path_outerplanar_from_shard_params(const ShardParams& params) {
-  LRDIP_CHECK_MSG(params.family == ShardFamily::path_outerplanar,
-                  "shard-params bridge: family is not path_outerplanar");
-  GraphFile gf = materialize_shard_family(params);
-  LRDIP_CHECK(gf.order.has_value());
-  return {std::move(gf.graph), *std::move(gf.order)};
 }
 
 std::vector<int> lr_path_positions(const LrInstance& inst) {

@@ -16,7 +16,6 @@
 #include "graph/graph.hpp"
 #include "graph/rotation.hpp"
 #include "graph/series_parallel.hpp"
-#include "graph/shard.hpp"
 #include "support/rng.hpp"
 
 namespace lrdip {
@@ -184,16 +183,6 @@ Graph random_tree(int n, Rng& rng);
 /// cycle through its leaves in planar order. Planar and 3-connected; contains
 /// wheels as minors, so neither outerplanar nor treewidth <= 2.
 Graph halin_graph(int leaves, Rng& rng);
-
-// ------------------------------------------------- sharded scale families
-
-/// The scale-substrate bridge: materializes the SAME instance a ShardParams
-/// describes (gen/shard_gen.hpp) as an in-memory certificate instance. The
-/// sharded families are pure functions of their params — no Rng — so this is
-/// the reference the shard emitters and the streaming verifier are pinned
-/// against in tests. Small n only; at scale the instance exists solely as
-/// shards. Requires params.family == path_outerplanar.
-PathOuterplanarInstance path_outerplanar_from_shard_params(const ShardParams& params);
 
 // --------------------------------------------------------------- LR family
 

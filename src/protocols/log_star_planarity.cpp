@@ -233,10 +233,10 @@ StageResult log_star_planarity_stage(const LogStarPlanarityInstance& inst,
   }
 
   // ---- Coins: one batched span draw covers every level's fingerprint point
-  // plus the multiset point y (all in the same fixed field).
+  // plus the multiset point y (all in the same fixed field; the verifier
+  // reads y back from the coin store).
   std::vector<std::uint64_t> coin_vals(static_cast<std::size_t>(levels) + 1);
   f.sample_span(rng, coin_vals);
-  const std::uint64_t y = coin_vals[static_cast<std::size_t>(levels)];
 
   // ---- R2k (prover): per-level chains over path positions. W = z_k^o walks
   // the in-unit power; F and G accumulate the power-sum fingerprints of the

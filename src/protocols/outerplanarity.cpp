@@ -292,7 +292,7 @@ Outcome run_biconnected_outerplanarity(const Graph& g,
     sub.prover_order = *ham;
     closing_edge = g.has_edge(ham->front(), ham->back());
   }
-  Outcome o = run_path_outerplanarity(sub, {params.c}, rng);
+  Outcome o = run_path_outerplanarity(sub, {params.c}, rng, faults);
   // Theorem 6.1's extra condition: the path endpoints close a cycle.
   if (!closing_edge) o.accepted = false;
   return o;

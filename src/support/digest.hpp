@@ -8,7 +8,6 @@
 // src/adversary share one definition.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -34,20 +33,6 @@ inline std::uint64_t fnv1a_word(std::uint64_t digest, std::uint64_t word) {
 /// interleaving per-field accessor calls with the mixing.
 inline std::uint64_t fnv1a_span(std::uint64_t digest, std::span<const std::uint64_t> words) {
   for (std::uint64_t w : words) digest = fnv1a_word(digest, w);
-  return digest;
-}
-
-/// Byte-wise FNV-1a over a raw buffer. The shard files (graph/shard.hpp)
-/// checksum their payload sections with this — splitting a section at any
-/// byte boundary and folding the pieces in order gives the same value, which
-/// is what lets the streaming sweep verify checksums incrementally while
-/// dropping consumed pages.
-inline std::uint64_t fnv1a_bytes(std::uint64_t digest, const void* data, std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    digest ^= p[i];
-    digest *= kFnvPrime;
-  }
   return digest;
 }
 

@@ -4,13 +4,14 @@
 
 #include <sstream>
 
-#include "support/check.hpp"
+#include "dip/faults.hpp"
 #include "gen/generators.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/dot.hpp"
 #include "protocols/baseline_pls.hpp"
 #include "protocols/outerplanarity.hpp"
 #include "support/bits.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace lrdip {
@@ -102,6 +103,21 @@ TEST(BiconnectedOuterplanarity, Theorem61) {
   std::vector<NodeId> bad_cycle(bad.n());
   for (int i = 0; i < bad.n(); ++i) bad_cycle[i] = i;
   EXPECT_FALSE(run_biconnected_outerplanarity(bad, bad_cycle, {3}, rng).accepted);
+}
+
+// The Theorem 6.1 wrapper hands its FaultInjector to the path-outerplanarity
+// run it delegates to: an attached injector that drops every label must fire
+// and turn the yes-instance into a rejection.
+TEST(BiconnectedOuterplanarity, AttachedFaultInjectorFires) {
+  Rng rng(5);
+  const Graph g = random_maximal_outerplanar(64, rng);
+  std::vector<NodeId> cycle(64);
+  for (int i = 0; i < 64; ++i) cycle[i] = i;
+  FaultInjector inj({1, 1.0, fault_bit(FaultModel::label_drop)});
+  const Outcome o = run_biconnected_outerplanarity(g, cycle, {3}, rng, &inj);
+  EXPECT_GT(inj.total_faults(), 0);
+  EXPECT_EQ(inj.total_faults(), inj.count(FaultModel::label_drop));
+  EXPECT_FALSE(o.accepted);
 }
 
 TEST(Dot, UndirectedWithPath) {

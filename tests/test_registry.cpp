@@ -46,17 +46,16 @@ TEST(Registry, NameListJoinsEveryTask) {
 }
 
 // Every committed per-task budget file names a registry task and every task
-// has one: bench/budgets/<name>.json <-> registry row. Two files are
-// cross-task and excluded from the bijection: soundness.json (E-SOUNDNESS
-// acceptance budgets, all tasks in one sweep) and scale.json (E-SCALE
-// digest + peak-RSS budgets for the sharded substrate).
+// has one: bench/budgets/<name>.json <-> registry row. soundness.json is
+// cross-task (E-SOUNDNESS acceptance budgets, all tasks in one sweep) and
+// excluded from the bijection.
 TEST(Registry, BudgetFilesMatchRegistry) {
   const std::filesystem::path dir(LRDIP_BUDGETS_DIR);
   ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
   std::set<std::string> stems;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() != ".json") continue;
-    if (entry.path().stem() == "soundness" || entry.path().stem() == "scale") continue;
+    if (entry.path().stem() == "soundness") continue;
     stems.insert(entry.path().stem().string());
   }
   std::set<std::string> names;

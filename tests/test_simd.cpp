@@ -91,7 +91,9 @@ TEST(SimdDispatch, LevelParsingAndClamping) {
     EXPECT_LE(static_cast<int>(simd_active_level()), static_cast<int>(simd_host_level()));
     const int lanes = fp_simd::active_lanes();
     EXPECT_TRUE(lanes == 1 || lanes == 4 || lanes == 8);
-    if (level == SimdLevel::scalar) EXPECT_EQ(lanes, 1);  // scalar never clamps up
+    if (level == SimdLevel::scalar) {
+      EXPECT_EQ(lanes, 1);  // scalar never clamps up
+    }
   }
 }
 

@@ -4,12 +4,13 @@
 Dispatches on the results file's "experiment" field:
 
 * E-PROOFSIZE (bench_proof_size --json): compares against the committed
-  per-task budget files in bench/budgets/. A task regresses when a measured
-  proof size at some log_n exceeds the budgeted value by more than the
-  budget's tolerance (relative; --tolerance overrides every file). Points the
-  budget does not cover (e.g. CI sweeps a smaller n range than the committed
-  budgets, or vice versa) are skipped — only matching (task, log_n) pairs
-  gate.
+  per-task budget files in bench/budgets/ (every *.json but soundness.json).
+  A task regresses when a measured proof size at some log_n exceeds the
+  budgeted value by more than the budget's tolerance (relative; --tolerance
+  overrides every file). Every budgeted task must appear in the results; a
+  missing one fails the run. Points the budget does not cover (e.g. CI sweeps
+  a smaller n range than the committed budgets, or vice versa) are skipped —
+  only matching (task, log_n) pairs gate.
 
 * E-SOUNDNESS (bench_soundness --json): compares against the single
   cross-task file bench/budgets/soundness.json. A cell regresses when a
@@ -17,14 +18,8 @@ Dispatches on the results file's "experiment" field:
   the budgeted max_accepted, or when an honest run accepted a near-no
   instance. Cells whose trial count differs from the budget's are skipped (a
   different LRDIP_BENCH_TRIALS is a different experiment, not a regression).
-
-* E-SCALE (bench_scale --json or tools/scale_summary.py): compares against
-  bench/budgets/scale.json. The run fails when any cell rejected, when the
-  transcript digests differ across shard counts or from the budget's pinned
-  digest (the digest is exact — the sweep is seed-pinned and deterministic),
-  or when a cell's verify-phase peak RSS exceeds the budgeted ceiling for its
-  shard count. Results whose (family, log_n, seed, coin_seed) differ from the
-  budget's are a different experiment and exit 2, not a regression.
+  Every budget cell at a (log_n, trials) pair the results sweep must be
+  present; a missing one fails the run.
 
 Exit status: 0 all within budget, 1 regression(s), 2 usage/schema error.
 
@@ -67,10 +62,12 @@ def check_soundness(results, budgets_dir):
                     int(p["max_accepted"]) for p in budget.get("points", [])}
     failures = []
     checked = 0
+    measured = set()
     for p in results.get("points", []):
         key = (p["task"], p["strategy"], int(p["log_n"]), int(p["trials"]))
         if key not in budget_cells:
             continue
+        measured.add(key)
         checked += 1
         accepted = int(p["accepted"])
         allowed = budget_cells[key]
@@ -84,6 +81,11 @@ def check_soundness(results, budgets_dir):
             failures.append(f"{key[0]} @ n=2^{key[2]}: honest run ACCEPTED a near-no instance")
         print(f"  {key[0]:>18} {key[1]:>13} n=2^{key[2]:<2} "
               f"accepted={accepted:>2}/{key[3]} budget={allowed:>2}  {mark}")
+    swept = {(int(p["log_n"]), int(p["trials"])) for p in results.get("points", [])}
+    for key in sorted(budget_cells):
+        if (key[2], key[3]) in swept and key not in measured:
+            failures.append(f"{key[0]}/{key[1]} @ n=2^{key[2]} (trials {key[3]}): "
+                            f"budgeted cell missing from the results")
 
     if checked == 0:
         print("error: no (task, strategy, log_n, trials) cell matched the soundness budget",
@@ -95,58 +97,6 @@ def check_soundness(results, budgets_dir):
             print(f"  - {f}")
         sys.exit(1)
     print(f"\nall {checked} checked soundness cells within budget")
-
-
-def check_scale(results, budgets_dir):
-    """Gate the sharded-substrate run against budgets/scale.json: digest
-    bit-identity across shard counts plus per-phase peak-RSS ceilings."""
-    budget_path = budgets_dir / "scale.json"
-    if not budget_path.exists():
-        print(f"error: no scale budget {budget_path}", file=sys.stderr)
-        sys.exit(2)
-    budget = load_json(budget_path)
-    for key in ("family", "log_n", "seed", "coin_seed"):
-        if results.get(key) != budget.get(key):
-            print(f"error: results {key}={results.get(key)!r} does not match budget "
-                  f"{key}={budget.get(key)!r} — different experiment, nothing to gate",
-                  file=sys.stderr)
-            sys.exit(2)
-    pinned = budget["digest"]
-    rss_caps = {int(k): int(v) for k, v in budget.get("max_verify_rss_kb", {}).items()}
-
-    failures = []
-    checked = 0
-    rows = results.get("rows", [])
-    for row in rows:
-        shards = int(row["shards"])
-        checked += 1
-        marks = []
-        if not row.get("accepted", False):
-            marks.append("REJECTED")
-            failures.append(f"shards={shards}: verification rejected")
-        if row.get("digest") != pinned:
-            marks.append("DIGEST-DRIFT")
-            failures.append(f"shards={shards}: digest {row.get('digest')} != pinned {pinned}")
-        rss = int(row.get("verify_peak_rss_kb", 0))
-        cap = rss_caps.get(shards)
-        if cap is not None and rss > cap:
-            marks.append("RSS-OVER")
-            failures.append(f"shards={shards}: verify peak RSS {rss} KiB > budget {cap} KiB")
-        cap_str = str(cap) if cap is not None else "-"
-        print(f"  shards={shards:<3} digest={row.get('digest')} rss={rss:>7} KiB "
-              f"budget={cap_str:>7} KiB  {' '.join(marks) if marks else 'ok'}")
-    if not results.get("digests_identical", False):
-        failures.append("digests differ across shard counts (bit-identity broken)")
-
-    if checked == 0:
-        print("error: no rows in the scale results", file=sys.stderr)
-        sys.exit(2)
-    if failures:
-        print(f"\n{len(failures)} scale budget violation(s):")
-        for f in failures:
-            print(f"  - {f}")
-        sys.exit(1)
-    print(f"\nall {checked} scale cells within budget; digests bit-identical")
 
 
 def main():
@@ -161,9 +111,6 @@ def main():
     if results.get("experiment") == "E-SOUNDNESS":
         check_soundness(results, pathlib.Path(args.budgets_dir))
         return
-    if results.get("experiment") == "E-SCALE":
-        check_scale(results, pathlib.Path(args.budgets_dir))
-        return
     tasks = results.get("tasks")
     if not isinstance(tasks, dict) or not tasks:
         print(f"error: {args.results} has no tasks", file=sys.stderr)
@@ -172,6 +119,9 @@ def main():
     budgets_dir = pathlib.Path(args.budgets_dir)
     failures = []
     checked = 0
+    for budget_path in sorted(budgets_dir.glob("*.json")):
+        if budget_path.stem != "soundness" and budget_path.stem not in tasks:
+            failures.append(f"{budget_path.stem}: budgeted task missing from the results")
     for task, data in sorted(tasks.items()):
         budget_path = budgets_dir / f"{task}.json"
         if not budget_path.exists():
