@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "graph/boyer_myrvold.hpp"
 #include "graph/planarity.hpp"
 #include "protocols/planar_embedding.hpp"
 #include "protocols/registry.hpp"
@@ -78,48 +77,31 @@ int main() {
   t2.print(std::cout);
   std::cout << "\nshape check: sweep 1 flat-ish in n; sweep 2 grows ~2 bits per 4x Delta.\n";
 
-  // E-EMBED: the centralized engine sweep behind the honest prover. Seed-
-  // pinned random planar instances, embedded by both engines; the Demoucron
-  // oracle drops out of the sweep once one run exceeds its wall budget (its
-  // O(n*m) growth would otherwise dominate the harness at 2^20+), while the
-  // O(n+m) Boyer-Myrvold engine runs to the top of the range.
-  std::cout << "\n-- sweep 3 (E-EMBED): centralized engines, Boyer-Myrvold vs Demoucron --\n";
-  Table t3({"n", "m", "bm_ms", "demoucron_ms", "speedup"});
+  // E-EMBED: the centralized engine sweep behind the honest prover, on
+  // seed-pinned random planar instances; the O(n+m) Boyer-Myrvold engine
+  // runs to the top of the range.
+  std::cout << "\n-- sweep 3 (E-EMBED): centralized Boyer-Myrvold engine --\n";
+  Table t3({"n", "m", "bm_ms"});
   using clock = std::chrono::steady_clock;
   const auto ms_since = [](clock::time_point t0) {
     return std::chrono::duration<double, std::milli>(clock::now() - t0).count();
   };
-  constexpr double kOracleWallBudgetMs = 60000.0;
-  bool oracle_alive = true;
   Rng sweep_rng(0x90e2);
   for (int logn = 10; logn <= std::max(10, max_log_n()); logn += 2) {
     const int n = 1 << logn;
     const PlanarInstance gi = random_planar(n, 0.3, sweep_rng);
 
     const auto bm_t0 = clock::now();
-    const auto bm_emb = planar_embedding(gi.graph, PlanarityEngine::kBoyerMyrvold);
+    const auto bm_emb = planar_embedding(gi.graph);
     const double bm_ms = ms_since(bm_t0);
     if (!bm_emb.has_value()) {
       std::cout << "ERROR: Boyer-Myrvold called a planar instance non-planar at n=" << n << "\n";
       return 1;
     }
-
-    double demo_ms = -1.0;
-    if (oracle_alive) {
-      const auto demo_t0 = clock::now();
-      const auto demo_emb = planar_embedding(gi.graph, PlanarityEngine::kDemoucron);
-      demo_ms = ms_since(demo_t0);
-      if (!demo_emb.has_value()) {
-        std::cout << "ERROR: Demoucron called a planar instance non-planar at n=" << n << "\n";
-        return 1;
-      }
-      if (demo_ms > kOracleWallBudgetMs) oracle_alive = false;
-    }
     t3.add_row({Table::num(std::uint64_t(gi.graph.n())), Table::num(std::uint64_t(gi.graph.m())),
-                Table::num(bm_ms, 2), demo_ms < 0 ? "-" : Table::num(demo_ms, 2),
-                demo_ms < 0 ? "-" : Table::num(demo_ms / std::max(bm_ms, 1e-3), 1) + "x"});
+                Table::num(bm_ms, 2)});
   }
   t3.print(std::cout);
-  std::cout << "shape check: bm_ms ~linear in n; speedup grows with n (>= 10x by n=2^18).\n";
+  std::cout << "shape check: bm_ms ~linear in n.\n";
   return 0;
 }

@@ -94,30 +94,19 @@ void BM_PlanarEmbedding(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanarEmbedding)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 15);
 
-// Centralized planarity engines on the same seed-pinned random planar
-// instance: the O(n+m) Boyer–Myrvold edge-addition engine (the default behind
-// planar_embedding) against the O(n*m) Demoucron oracle. Second arg selects
-// the engine: 0 = bm, 1 = demoucron. The oracle stops at 2^13 — its quadratic
-// growth would dominate the suite's runtime; the full asymptotic sweep up to
-// 2^22 lives in bench_planarity (EXPERIMENTS.md E-EMBED).
+// The centralized Boyer–Myrvold engine behind planar_embedding on a
+// seed-pinned random planar instance; the full asymptotic sweep up to 2^22
+// lives in bench_planarity (EXPERIMENTS.md E-EMBED).
 void BM_Planarity(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const PlanarityEngine engine =
-      state.range(1) == 0 ? PlanarityEngine::kBoyerMyrvold : PlanarityEngine::kDemoucron;
   Rng gen_rng(45);
   const auto gi = random_planar(n, 0.4, gen_rng);
-  state.SetLabel(engine == PlanarityEngine::kBoyerMyrvold ? "bm" : "demoucron");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(planar_embedding(gi.graph, engine));
+    benchmark::DoNotOptimize(planar_embedding(gi.graph));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_Planarity)
-    ->Args({1 << 10, 0})
-    ->Args({1 << 10, 1})
-    ->Args({1 << 13, 0})
-    ->Args({1 << 13, 1})
-    ->Args({1 << 17, 0});
+BENCHMARK(BM_Planarity)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 17);
 
 // Thread scaling of the parallel verification engine at the largest
 // LR-sorting size. On a single-core host all entries coincide; on multicore

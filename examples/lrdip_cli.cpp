@@ -7,16 +7,16 @@
 //         [--models m1,m2,...] [--seed S] [--c C] [--trials T]
 //   lrdip soundness --task <name> [--strategy S] [--n N] [--trials T]
 //         [--seed S] [--c C] [--json]
-//   lrdip planarity <graph-file> [--engine bm|demoucron] [--json]
+//   lrdip planarity <graph-file> [--json]
 //   lrdip run <task> <graph-file> [...]
 //   lrdip list-tasks
 //
 // `planarity` is the centralized engine, not the interactive protocol: it
-// prints the Boyer–Myrvold (or Demoucron) verdict with embedding stats on
-// planar inputs and the extracted Kuratowski witness (K5 / K3,3 subdivision,
-// as edge ids) on non-planar ones. Because the token shadows the planarity
-// *task*, `lrdip run <task> <graph>` invokes any task's interactive protocol
-// unambiguously.
+// prints the Boyer–Myrvold verdict with embedding stats on planar inputs and
+// the extracted Kuratowski witness (K5 / K3,3 subdivision, as edge ids) on
+// non-planar ones, disconnected graphs included. Because the token shadows
+// the planarity *task*, `lrdip run <task> <graph>` invokes any task's
+// interactive protocol unambiguously.
 //
 // The task tokens, their certificate requirements, and the dispatch itself
 // all come from the protocol registry (protocols/registry.hpp) — the CLI adds
@@ -36,8 +36,9 @@
 //   0  the verification accepted (or the subcommand completed);
 //   1  the verification rejected (an answer, not an error);
 //   2  usage or malformed input: bad flags, unknown tasks, graph files that
-//      do not parse, manifests or certificates the task cannot use, `gen`
-//      sizes the family cannot build;
+//      do not parse (a repeated edge included), graphs the protocols do not
+//      run on (disconnected, n < 2), manifests or certificates the task
+//      cannot use, `gen` sizes the family cannot build;
 //   3  internal error — anything that is the tool's fault, not the input's.
 #include <array>
 #include <cstring>
@@ -57,7 +58,6 @@
 #include "graph/boyer_myrvold.hpp"
 #include "graph/io.hpp"
 #include "graph/kuratowski.hpp"
-#include "graph/planarity.hpp"
 #include "obs/emit.hpp"
 #include "obs/metrics.hpp"
 #include "protocols/registry.hpp"
@@ -83,7 +83,7 @@ int usage() {
                "        [--models m1,m2,...] [--seed S] [--c C] [--trials T] [--metrics json|csv]\n"
                "  lrdip soundness --task <name> [--strategy replay|greedy|seeded-random]\n"
                "        [--n N] [--trials T (default 24)] [--seed S] [--c C] [--json]\n"
-               "  lrdip planarity <graph-file> [--engine bm|demoucron] [--json]\n"
+               "  lrdip planarity <graph-file> [--json]\n"
                "  lrdip run <task> <graph-file> [options as above]\n"
                "  lrdip list-tasks\n"
                "tasks:    "
@@ -113,8 +113,6 @@ struct Options {
   std::string strategy = "greedy";
   int n = 256;
   bool json = false;
-  // planarity subcommand only:
-  std::string engine = "bm";
 };
 
 std::uint32_t parse_models(const std::string& spec) {
@@ -167,11 +165,6 @@ Options parse_options(int argc, char** argv, int from) {
       opt.n = std::stoi(next());
     } else if (a == "--json") {
       opt.json = true;
-    } else if (a == "--engine") {
-      opt.engine = next();
-      if (opt.engine != "bm" && opt.engine != "demoucron") {
-        throw UsageError("--engine expects bm or demoucron");
-      }
     } else {
       throw UsageError("unknown option: " + a);
     }
@@ -233,8 +226,9 @@ Task task_or_throw(const std::string& name) {
   return *t;
 }
 
-/// bind_instance flags missing/unusable certificate sections with
-/// InvariantError; at the CLI boundary that is the *input's* fault.
+/// bind_instance flags missing/unusable certificate sections and graphs
+/// outside the protocols' domain with InvariantError; at the CLI boundary
+/// that is the *input's* fault.
 BoundInstance bind_or_usage(Task t, const GraphFile& gf) {
   try {
     return bind_instance(t, gf);
@@ -436,31 +430,19 @@ int run_planarity_check(const std::string& path, const Options& opt) {
   const GraphFile gf = read_graph_file(path);
   const Graph& g = gf.graph;
 
-  bool planar = false;
-  int faces = 0;
-  std::vector<EdgeId> witness;
+  const PlanarityResult res = boyer_myrvold(g, BmOutput::kEmbeddingOrWitness);
+  const bool planar = res.planar;
+  const int faces = planar ? count_faces(g, *res.embedding) : 0;
+  const std::vector<EdgeId>& witness = res.witness;
   std::string kind;
-  if (opt.engine == "demoucron") {
-    const auto emb = planar_embedding(g, PlanarityEngine::kDemoucron);
-    planar = emb.has_value();
-    if (planar) faces = count_faces(g, *emb);
-  } else {
-    const PlanarityResult res = boyer_myrvold(g, BmOutput::kEmbeddingOrWitness);
-    planar = res.planar;
-    if (planar) {
-      faces = count_faces(g, *res.embedding);
-    } else {
-      witness = res.witness;
-      kind = classify_kuratowski(g, witness) == KuratowskiKind::kK5 ? "K5" : "K3,3";
-    }
-  }
+  if (!planar) kind = classify_kuratowski(g, witness) == KuratowskiKind::kK5 ? "K5" : "K3,3";
 
   if (opt.json) {
     std::cout << "{\"planar\": " << (planar ? "true" : "false") << ", \"n\": " << g.n()
-              << ", \"m\": " << g.m() << ", \"engine\": \"" << opt.engine << "\"";
+              << ", \"m\": " << g.m();
     if (planar) {
       std::cout << ", \"faces\": " << faces;
-    } else if (!witness.empty()) {
+    } else {
       std::cout << ", \"witness_kind\": \"" << kind << "\", \"witness_edges\": [";
       for (std::size_t i = 0; i < witness.size(); ++i) {
         std::cout << (i ? ", " : "") << witness[i];
@@ -470,11 +452,10 @@ int run_planarity_check(const std::string& path, const Options& opt) {
     std::cout << "}\n";
   }
   std::ostream& os = opt.json ? std::cerr : std::cout;
-  os << "planarity: " << (planar ? "PLANAR" : "NON-PLANAR") << "  n=" << g.n()
-     << "  m=" << g.m() << "  engine=" << opt.engine;
+  os << "planarity: " << (planar ? "PLANAR" : "NON-PLANAR") << "  n=" << g.n() << "  m=" << g.m();
   if (planar) {
     os << "  faces=" << faces;
-  } else if (!witness.empty()) {
+  } else {
     os << "  witness=" << kind << " subdivision (" << witness.size() << " edges):";
     for (const EdgeId e : witness) {
       const auto [u, v] = g.endpoints(e);

@@ -6,7 +6,6 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/boyer_myrvold.hpp"
-#include "graph/embedder.hpp"
 #include "graph/kuratowski.hpp"
 #include "support/check.hpp"
 

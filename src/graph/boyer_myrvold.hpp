@@ -10,9 +10,10 @@
 // cannot be embedded the graph is non-planar and a Kuratowski witness —
 // the edge set of a K5 or K3,3 subdivision — can be extracted.
 //
-// This replaces the O(n·m) Demoucron embedder as the default engine behind
-// `planar_embedding` / `is_planar` (see graph/planarity.hpp); Demoucron is
-// retained as a cross-check oracle.
+// This is the only engine behind `planar_embedding` / `is_planar` (see
+// graph/planarity.hpp). Its verdicts are checked by certificate, not by a
+// second engine: the rotation system by face tracing (is_planar_embedding),
+// the witness by the engine-independent `classify_kuratowski`.
 #pragma once
 
 #include <optional>

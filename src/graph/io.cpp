@@ -45,6 +45,23 @@ Tok read_int(std::istream& ss, long long lo, long long hi, long long* out) {
   return Tok::ok;
 }
 
+/// The smallest edge id that repeats an earlier edge's endpoints, or -1 when
+/// g is simple. O(n + m): adjacency lists are in edge-id order, so the first
+/// repeat of a neighbor in a node's list is the pair's second copy.
+EdgeId first_repeated_edge(const Graph& g) {
+  std::vector<NodeId> seen_from(static_cast<std::size_t>(g.n()), -1);
+  EdgeId first = -1;
+  for (NodeId v = 0; v < g.n(); ++v) {
+    for (const Half& h : g.neighbors(v)) {
+      if (seen_from[static_cast<std::size_t>(h.to)] == v && (first == -1 || h.edge < first)) {
+        first = h.edge;
+      }
+      seen_from[static_cast<std::size_t>(h.to)] = v;
+    }
+  }
+  return first;
+}
+
 GraphReadResult read_graph_checked_impl(std::istream& in, const GraphReadLimits& limits) {
   Parser p(limits);
   GraphFile gf;
@@ -53,6 +70,7 @@ GraphReadResult read_graph_checked_impl(std::istream& in, const GraphReadLimits&
   long long n = -1, m = -1;
   long long edges_seen = 0;
   std::size_t bytes_seen = 0;
+  std::vector<int> edge_line;  // file line of each edge, for the duplicate check
   std::vector<std::vector<EdgeId>> rotation_order;
   bool in_rotation = false;
   std::vector<char> rotation_row_seen;
@@ -111,6 +129,7 @@ GraphReadResult read_graph_checked_impl(std::istream& in, const GraphReadLimits&
         break;
       }
       gf.graph.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v));
+      edge_line.push_back(lineno);
       ++edges_seen;
     } else if (tok == "order") {
       if (n == -1) {
@@ -198,6 +217,10 @@ GraphReadResult read_graph_checked_impl(std::istream& in, const GraphReadLimits&
   }
   if (!p.failed && n == -1) p.fail(lineno, "missing graph header");
   if (!p.failed && edges_seen != m) p.fail(lineno, "edge count mismatch");
+  if (!p.failed) {
+    const EdgeId dup = first_repeated_edge(gf.graph);
+    if (dup != -1) p.fail(edge_line[static_cast<std::size_t>(dup)], "duplicate edge");
+  }
   if (!p.failed && in_rotation) {
     if (rotation_rows != n) {
       p.fail(lineno, "rotation must cover every node");

@@ -8,8 +8,9 @@
 //   rotation                         (then n lines: "r <v> <e1> <e2> ...")
 //   tails <t0> ... <t_{m-1}>         (orientation: tail node id per edge)
 //
-// Used by the CLI and the examples; intentionally minimal and strict. Two
-// reader surfaces:
+// Used by the CLI and the examples; intentionally minimal and strict: graphs
+// are simple, so self-loops and repeated edges are input errors. Two reader
+// surfaces:
 //
 //   * read_graph_checked never throws on bad *input*: truncated, corrupt,
 //     or oversized streams come back as a structured GraphReadResult with a

@@ -1,80 +1,17 @@
 #include "graph/planarity.hpp"
 
-#include <algorithm>
-
-#include "graph/algorithms.hpp"
-#include "graph/biconnected.hpp"
 #include "graph/boyer_myrvold.hpp"
-#include "graph/embedder.hpp"
 #include "support/check.hpp"
 
 namespace lrdip {
-namespace {
 
-/// Embeds one connected graph; returns per-node rotation orders or nullopt.
-std::optional<std::vector<std::vector<EdgeId>>> embed_connected(const Graph& g) {
-  std::vector<std::vector<EdgeId>> order(g.n());
-  if (g.m() == 0) return order;
-  const auto decomp = biconnected_components(g);
-  for (int b = 0; b < decomp.num_components(); ++b) {
-    const Subgraph sub =
-        make_subgraph(g, decomp.component_nodes[b], decomp.component_edges[b]);
-    const auto faces = demoucron_embed(sub.graph);
-    if (!faces) return std::nullopt;
-    const RotationSystem rot = rotation_from_faces(sub.graph, *faces);
-    for (NodeId v = 0; v < sub.graph.n(); ++v) {
-      const NodeId host = sub.node_to_orig[v];
-      for (EdgeId e : rot.order_at(v)) order[host].push_back(sub.edge_to_orig[e]);
-    }
-  }
-  return order;
+bool is_planar(const Graph& g) {
+  return boyer_myrvold_is_planar(g);
 }
 
-/// The original Demoucron path: components -> biconnected blocks ->
-/// face expansion -> rotation merge at cut vertices.
-std::optional<RotationSystem> demoucron_planar_embedding(const Graph& g) {
-  if (g.n() >= 3 && g.m() > 3 * g.n() - 6) return std::nullopt;
-
-  auto [comp, ncomp] = components(g);
-  std::vector<std::vector<EdgeId>> order(g.n());
-  for (int c = 0; c < ncomp; ++c) {
-    std::vector<NodeId> nodes;
-    std::vector<EdgeId> edges;
-    for (NodeId v = 0; v < g.n(); ++v) {
-      if (comp[v] == c) nodes.push_back(v);
-    }
-    for (EdgeId e = 0; e < g.m(); ++e) {
-      if (comp[g.endpoints(e).first] == c) edges.push_back(e);
-    }
-    const Subgraph sub = make_subgraph(g, nodes, edges);
-    const auto sub_order = embed_connected(sub.graph);
-    if (!sub_order) return std::nullopt;
-    for (NodeId v = 0; v < sub.graph.n(); ++v) {
-      for (EdgeId e : (*sub_order)[v]) {
-        order[sub.node_to_orig[v]].push_back(sub.edge_to_orig[e]);
-      }
-    }
-  }
-  return RotationSystem(g, std::move(order));
-}
-
-}  // namespace
-
-bool is_planar(const Graph& g, PlanarityEngine engine) {
-  if (engine == PlanarityEngine::kBoyerMyrvold) {
-    // Verdict-only: no rotation system is ever materialized.
-    return boyer_myrvold_is_planar(g);
-  }
-  return demoucron_planar_embedding(g).has_value();
-}
-
-std::optional<RotationSystem> planar_embedding(const Graph& g,
-                                               PlanarityEngine engine) {
+std::optional<RotationSystem> planar_embedding(const Graph& g) {
   LRDIP_CHECK_MSG(g.is_simple(), "planar_embedding requires a simple graph");
-  if (engine == PlanarityEngine::kBoyerMyrvold) {
-    return boyer_myrvold(g, BmOutput::kEmbedding).embedding;
-  }
-  return demoucron_planar_embedding(g);
+  return boyer_myrvold(g, BmOutput::kEmbedding).embedding;
 }
 
 }  // namespace lrdip

@@ -1,11 +1,9 @@
-// General-graph planarity testing and embedding.
-//
-// Two engines sit behind one seam:
-//  * kBoyerMyrvold (default) — the O(n + m) edge-addition engine from
-//    src/graph/boyer_myrvold.*. Verdicts never materialize rotations, and
-//    embeddings come straight out of the engine's relative arc lists.
-//  * kDemoucron — the O(n * m) face-expansion embedder retained as an
-//    independent cross-check oracle (differential fuzz, CI sanitizer legs).
+// General-graph planarity testing and embedding, answered by the O(n + m)
+// Boyer–Myrvold edge-addition engine (graph/boyer_myrvold.hpp). Verdicts
+// never materialize rotations, and embeddings come straight out of the
+// engine's relative arc lists. Callers that need a checkable certificate for
+// either verdict call boyer_myrvold() directly: a genus-0 rotation system
+// (is_planar_embedding) or a K5/K3,3 subdivision (is_kuratowski_witness).
 #pragma once
 
 #include <optional>
@@ -15,20 +13,12 @@
 
 namespace lrdip {
 
-/// Which planarity engine answers the query.
-enum class PlanarityEngine {
-  kBoyerMyrvold,
-  kDemoucron,
-};
-
-/// True iff g (connected or not) is planar. The default engine answers
-/// without building any rotation system.
-bool is_planar(const Graph& g,
-               PlanarityEngine engine = PlanarityEngine::kBoyerMyrvold);
+/// True iff g (connected or not) is planar, without building any rotation
+/// system.
+bool is_planar(const Graph& g);
 
 /// A genus-0 rotation system for g, or nullopt if g is non-planar.
 /// g must be simple.
-std::optional<RotationSystem> planar_embedding(
-    const Graph& g, PlanarityEngine engine = PlanarityEngine::kBoyerMyrvold);
+std::optional<RotationSystem> planar_embedding(const Graph& g);
 
 }  // namespace lrdip

@@ -1,6 +1,7 @@
 #include "graph/rotation.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "graph/algorithms.hpp"
 #include "support/check.hpp"
@@ -78,7 +79,14 @@ int count_faces(const Graph& g, const RotationSystem& rot) {
 }
 
 bool is_planar_embedding(const Graph& g, const RotationSystem& rot) {
-  return euler_genus(g, rot) == 0;
+  const auto [comp, ncomp] = components(g);
+  std::vector<char> has_edge(static_cast<std::size_t>(ncomp), 0);
+  for (EdgeId e = 0; e < g.m(); ++e) {
+    has_edge[static_cast<std::size_t>(comp[g.endpoints(e).first])] = 1;
+  }
+  int want = 0;
+  for (int c = 0; c < ncomp; ++c) want += has_edge[static_cast<std::size_t>(c)] ? 2 : 1;
+  return g.n() - g.m() + count_faces(g, rot) == want;
 }
 
 int euler_genus(const Graph& g, const RotationSystem& rot) {
@@ -87,6 +95,41 @@ int euler_genus(const Graph& g, const RotationSystem& rot) {
   const int euler = g.n() - g.m() + f;
   LRDIP_CHECK((2 - euler) % 2 == 0);
   return (2 - euler) / 2;
+}
+
+RotationSystem rotation_from_faces(const Graph& g, const FaceList& faces) {
+  if (faces.empty()) return RotationSystem::from_adjacency(g);
+
+  // Face transition at v: arriving via edge (u,v), leave via edge (v,w).
+  // That leaving edge is by definition next_clockwise(v, arriving edge).
+  std::vector<std::map<EdgeId, EdgeId>> succ(g.n());
+  for (const auto& face : faces) {
+    const int k = static_cast<int>(face.size());
+    for (int i = 0; i < k; ++i) {
+      const NodeId u = face[i];
+      const NodeId v = face[(i + 1) % k];
+      const NodeId w = face[(i + 2) % k];
+      const EdgeId in_e = g.find_edge(u, v);
+      const EdgeId out_e = g.find_edge(v, w);
+      LRDIP_CHECK(in_e != -1 && out_e != -1);
+      LRDIP_CHECK_MSG(!succ[v].count(in_e), "dart traversed by two faces");
+      succ[v][in_e] = out_e;
+    }
+  }
+
+  std::vector<std::vector<EdgeId>> order(g.n());
+  for (NodeId v = 0; v < g.n(); ++v) {
+    if (g.degree(v) == 0) continue;
+    LRDIP_CHECK_MSG(static_cast<int>(succ[v].size()) == g.degree(v),
+                    "every incident edge must appear in some face");
+    EdgeId e = succ[v].begin()->first;
+    for (int i = 0; i < g.degree(v); ++i) {
+      order[v].push_back(e);
+      e = succ[v].at(e);
+    }
+    LRDIP_CHECK_MSG(e == order[v].front(), "rotation at node is not a single cycle");
+  }
+  return RotationSystem(g, std::move(order));
 }
 
 }  // namespace lrdip

@@ -206,7 +206,9 @@ StageResult lr_sorting_stage(const LrSortingInstance& inst, const LrParams& para
   const PathLocal pl = path_locals(inst);
 
   const int B = std::max(1, ceil_log2(static_cast<std::uint64_t>(n)));
-  if (n < 2 * B) return lr_trivial_position_stage(inst, faults);
+  // n = 2 is the one size with nb = n / B >= 2^B: B = 1 gives two one-bit
+  // blocks, and block 1's position has no 0-bit to anchor it.
+  if (n < 2 * B || n == 2) return lr_trivial_position_stage(inst, faults);
 
   // Fields. p > max(log^c n, 2B + 2); p' > p * B.
   const double logn = std::log2(static_cast<double>(n));

@@ -3,6 +3,7 @@
 #include <array>
 
 #include "gen/generators.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/degeneracy.hpp"
 #include "obs/metrics.hpp"
 #include "support/bits.hpp"
@@ -469,7 +470,13 @@ Outcome run_protocol_baseline_pls(const Instance& inst) {
   return spec.run_pls(inst);
 }
 
-BoundInstance bind_instance(Task t, const GraphFile& gf) { return protocol_spec(t).bind_file(gf); }
+BoundInstance bind_instance(Task t, const GraphFile& gf) {
+  // Every protocol runs on a connected network of at least two nodes; a file
+  // outside that domain is refused here, before any stage sees it.
+  LRDIP_CHECK_MSG(gf.graph.n() >= 2, "the protocols need a graph with n >= 2");
+  LRDIP_CHECK_MSG(is_connected(gf.graph), "the protocols need a connected graph");
+  return protocol_spec(t).bind_file(gf);
+}
 
 BoundInstance make_yes_instance(Task t, int n, Rng& rng) {
   return protocol_spec(t).make_yes(n, rng);

@@ -170,7 +170,8 @@ Outcome run_protocol(const Instance& inst, const RunOptions& opt, Rng& rng,
 /// Dispatches the task's PLS baseline; throws when the task has none.
 Outcome run_protocol_baseline_pls(const Instance& inst);
 
-/// bind_file / make_yes / make_near_no by tag.
+/// bind_file / make_yes / make_near_no by tag. bind_instance also throws
+/// InvariantError unless the graph is connected with n >= 2.
 BoundInstance bind_instance(Task t, const GraphFile& gf);
 BoundInstance make_yes_instance(Task t, int n, Rng& rng);
 BoundInstance make_near_no_instance(Task t, int n, Rng& rng);

@@ -70,7 +70,15 @@ TEST(GraphIo, RejectsMalformedInput) {
   expect_bad("graph 2 1\ne 0 1\nnope 3\n");      // unknown keyword
   expect_bad("graph 2 1\ne 0 1\norder 0\n");     // short order
   expect_bad("graph 2 1\ne 0 1\ntails 0 1 0\n"); // long tails
-  expect_bad("graph 2 2\ne 0 1\ne 0 1\ngraph 1 0\n");  // duplicate header
+  expect_bad("graph 3 2\ne 0 1\ne 1 2\ngraph 1 0\n");  // duplicate header
+}
+
+TEST(GraphIo, RejectsDuplicateEdgeAtItsSecondCopy) {
+  std::stringstream ss("graph 3 3\ne 0 1\ne 1 2\ne 1 0\n");
+  const GraphReadResult r = read_graph_checked(ss);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.line, 4);
+  EXPECT_NE(r.error.find("duplicate edge"), std::string::npos) << r.error;
 }
 
 TEST(GraphIo, RejectsBadRotation) {

@@ -152,6 +152,20 @@ TEST(LrSorting, TinyInstancesUseTrivialProtocol) {
   EXPECT_EQ(o.rounds, 1);
 }
 
+TEST(LrSorting, TwoNodePathUsesTrivialProtocol) {
+  // K2 ordered 0 1: B = 1 would split it into two one-bit blocks, the second
+  // of which has no 0-bit, so n = 2 must take the trivial protocol.
+  Graph g(2);
+  g.add_edge(0, 1);
+  const LrSortingInstance inst{&g, {0, 1}, {0}, {}};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    const Outcome o = run_lr_sorting(inst, {3}, rng);
+    EXPECT_TRUE(o.accepted) << "seed=" << seed;
+    EXPECT_EQ(o.rounds, 1);
+  }
+}
+
 TEST(LrSorting, HigherSoundnessExponentGrowsProofLinearlyInC) {
   Rng rng(9);
   const LrInstance gi = random_lr_yes(1 << 14, 1.0, rng);

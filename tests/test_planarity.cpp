@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "support/check.hpp"
 #include "gen/generators.hpp"
-#include "graph/embedder.hpp"
 #include "graph/planarity.hpp"
 #include "graph/rotation.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace lrdip {
@@ -124,6 +123,10 @@ TEST(Embedder, DisconnectedGraphsSupported) {
   g.add_edge(2, 0);
   g.add_edge(3, 4);
   EXPECT_TRUE(is_planar(g));
+  // Node 5 is isolated: Euler sums 2 per component with an edge, 1 for it.
+  const auto rot = planar_embedding(g);
+  ASSERT_TRUE(rot.has_value());
+  EXPECT_TRUE(is_planar_embedding(g, *rot));
 }
 
 TEST(Embedder, CorruptRotationRaisesGenus) {

@@ -193,7 +193,7 @@ TEST_P(RecognizerAgreement, TinyGraphOracles) {
       blocks_sp = blocks_sp && is_series_parallel(sub.graph);
     }
     EXPECT_EQ(is_treewidth_at_most_2(g), blocks_sp) << "n=" << n << " m=" << g.m();
-    // Planarity: Demoucron vs the Euler bound necessary condition.
+    // Planarity: the embedding's genus vs the Euler bound necessary condition.
     if (is_planar(g)) {
       const auto rot = planar_embedding(g);
       ASSERT_TRUE(rot.has_value());

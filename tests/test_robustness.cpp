@@ -5,8 +5,9 @@
 //   not heuristic).
 // * Biconnectivity: the Hopcroft-Tarjan decomposition agrees with the
 //   O(n(n+m)) remove-a-node oracle on random graphs.
-// * Planarity: Demoucron agrees with the Euler-formula genus of its own
-//   output and with the K5/K3,3 obstructions on randomized instances.
+// * Planarity: the planar_embedding rotation has Euler genus 0, and
+//   non-planar verdicts only come with enough nodes and edges for a K5/K3,3
+//   obstruction, on randomized instances.
 #include <gtest/gtest.h>
 
 #include "support/check.hpp"
@@ -160,7 +161,7 @@ TEST(CrossValidation, EdgePartitionIntoBlocks) {
   }
 }
 
-TEST(CrossValidation, DemoucronSelfConsistent) {
+TEST(CrossValidation, PlanarEmbeddingSelfConsistent) {
   Rng rng(5);
   int planar_count = 0, nonplanar_count = 0;
   for (int t = 0; t < 40; ++t) {
@@ -189,7 +190,7 @@ TEST(CrossValidation, DemoucronSelfConsistent) {
 }
 
 TEST(CrossValidation, OuterplanarityAgainstTinyBruteForce) {
-  // On graphs small enough to brute-force: is_outerplanar (apex + Demoucron)
+  // On graphs small enough to brute-force: is_outerplanar (apex + planarity)
   // vs exhaustive search for a Hamiltonian-cycle-with-nested-chords witness
   // for biconnected inputs.
   Rng rng(6);

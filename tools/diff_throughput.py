@@ -72,34 +72,6 @@ def report_phi_batch(doc):
             print(f"{size:>10} {level:<8} {lanes:>5} {ips:>14.3e} {speedup}")
 
 
-def report_planarity(doc):
-    """Summarize the BM_Planarity centralized-engine rows: per instance size,
-    the per-iteration time of each engine (bm = Boyer-Myrvold edge addition,
-    demoucron = the face-expansion oracle) and the bm speedup. Skipped
-    silently when the baseline predates the engine benchmarks."""
-    rows = {}
-    for b in iteration_rows(doc):
-        name = b.get("name", "")
-        if not name.startswith("BM_Planarity/"):
-            continue
-        parts = name.split("/")
-        size = int(parts[1])
-        engine = b.get("label") or ("bm" if parts[2] == "0" else "demoucron")
-        rows.setdefault(size, {})[engine] = float(
-            b.get("cpu_time", b.get("real_time", 0.0)))
-    if not rows:
-        return
-    print("\nBM_Planarity centralized engines (planar_embedding, ns/iter)")
-    print(f"{'n':>10} {'bm':>14} {'demoucron':>14} {'bm speedup':>11}")
-    for size in sorted(rows):
-        bm = rows[size].get("bm")
-        demo = rows[size].get("demoucron")
-        bm_s = f"{bm:>14.0f}" if bm is not None else f"{'-':>14}"
-        demo_s = f"{demo:>14.0f}" if demo is not None else f"{'-':>14}"
-        speed = (f"{demo / bm:>10.1f}x" if bm and demo else f"{'-':>11}")
-        print(f"{size:>10} {bm_s} {demo_s} {speed}")
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("current")
@@ -154,7 +126,6 @@ def main():
         print("\nno benchmark slower than baseline beyond the warn threshold")
 
     report_phi_batch(current_doc)
-    report_planarity(current_doc)
 
 
 if __name__ == "__main__":
