@@ -16,13 +16,18 @@ namespace {
 
 std::atomic<int> g_forced_threads{0};
 
+// Read once: every parallel region asks, and neither source changes while
+// the process runs.
 int default_threads() {
-  if (const char* env = std::getenv("LRDIP_THREADS")) {
-    const int v = std::atoi(env);
-    if (v >= 1 && v <= 1024) return v;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  static const int threads = [] {
+    if (const char* env = std::getenv("LRDIP_THREADS")) {
+      const int v = std::atoi(env);
+      if (v >= 1 && v <= 1024) return v;
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
+  }();
+  return threads;
 }
 
 // Each participant claims chunk indices from a shared counter; chunk k is

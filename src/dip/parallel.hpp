@@ -17,9 +17,10 @@
 // several chunks throw, the lowest-indexed chunk's exception wins, so even
 // failure is deterministic.
 //
-// Thread count: LRDIP_THREADS overrides std::thread::hardware_concurrency();
-// set_parallel_threads() overrides both (tests and benchmarks use it to pin
-// the count). Loops shorter than the grain run inline on the caller.
+// Thread count: LRDIP_THREADS overrides std::thread::hardware_concurrency(),
+// both read once per process; set_parallel_threads() overrides both (tests
+// and benchmarks use it to pin the count). Loops shorter than the grain run
+// inline on the caller.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <numeric>
 
 #include "support/check.hpp"
 
@@ -134,21 +135,50 @@ std::vector<NodeId> dfs_postorder(const Graph& g, NodeId root) {
 Subgraph make_subgraph(const Graph& g, const std::vector<NodeId>& nodes,
                        const std::vector<EdgeId>& edges) {
   Subgraph s;
-  s.orig_to_node.assign(g.n(), -1);
   s.node_to_orig = nodes;
   s.graph = Graph(static_cast<int>(nodes.size()));
-  for (int i = 0; i < static_cast<int>(nodes.size()); ++i) {
-    LRDIP_CHECK(s.orig_to_node[nodes[i]] == -1);
-    s.orig_to_node[nodes[i]] = i;
+  s.by_orig.reserve(nodes.size());
+  for (int i = 0; i < static_cast<int>(nodes.size()); ++i) s.by_orig.emplace_back(nodes[i], i);
+  std::sort(s.by_orig.begin(), s.by_orig.end());
+  for (std::size_t i = 1; i < s.by_orig.size(); ++i) {
+    LRDIP_CHECK(s.by_orig[i - 1].first != s.by_orig[i].first);
   }
+  s.edge_to_orig.reserve(edges.size());
   for (EdgeId e : edges) {
     const auto [u, v] = g.endpoints(e);
-    LRDIP_CHECK_MSG(s.orig_to_node[u] != -1 && s.orig_to_node[v] != -1,
-                    "subgraph edge with endpoint outside node set");
-    s.graph.add_edge(s.orig_to_node[u], s.orig_to_node[v]);
+    const NodeId a = s.local(u), b = s.local(v);
+    LRDIP_CHECK_MSG(a != -1 && b != -1, "subgraph edge with endpoint outside node set");
+    s.graph.add_edge(a, b);
     s.edge_to_orig.push_back(e);
   }
   return s;
+}
+
+NodeId Subgraph::local(NodeId v) const {
+  const auto it = std::lower_bound(by_orig.begin(), by_orig.end(), std::pair{v, NodeId{-1}});
+  return (it != by_orig.end() && it->first == v) ? it->second : -1;
+}
+
+std::vector<int> match_node_sets(const std::vector<std::vector<NodeId>>& blocks,
+                                 std::vector<std::vector<NodeId>> certs) {
+  for (std::vector<NodeId>& c : certs) std::sort(c.begin(), c.end());
+  // Certificate indices ordered by sorted node list (so by smallest node
+  // first); equal lists keep certificate order, so a block's lower bound is
+  // the first certificate equal to it.
+  std::vector<int> by_nodes(certs.size());
+  std::iota(by_nodes.begin(), by_nodes.end(), 0);
+  std::stable_sort(by_nodes.begin(), by_nodes.end(),
+                   [&](int a, int b) { return certs[a] < certs[b]; });
+  const auto below = [&](int c, const std::vector<NodeId>& w) { return certs[c] < w; };
+  std::vector<int> match(blocks.size(), -1);
+  std::vector<NodeId> want;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    want = blocks[b];
+    std::sort(want.begin(), want.end());
+    const auto it = std::lower_bound(by_nodes.begin(), by_nodes.end(), want, below);
+    if (it != by_nodes.end() && certs[*it] == want) match[b] = *it;
+  }
+  return match;
 }
 
 }  // namespace lrdip

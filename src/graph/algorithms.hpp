@@ -2,6 +2,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -43,16 +44,33 @@ std::vector<NodeId> dfs_postorder(const Graph& g, NodeId root);
 
 /// A subgraph together with the id maps back to the host graph. Used by the
 /// block-decomposition protocols, which run sub-protocols on induced pieces.
+/// Its size is the piece's, not the host's.
 struct Subgraph {
   Graph graph;
   std::vector<NodeId> node_to_orig;  // new node id -> host node id
-  std::vector<NodeId> orig_to_node;  // host node id -> new node id or -1
   std::vector<EdgeId> edge_to_orig;  // new edge id -> host edge id
+
+  /// New node id of host node `v`, or -1 when v is not in the subgraph.
+  NodeId local(NodeId v) const;
+
+  /// (host id, new id) per node, sorted by host id; `local` searches it.
+  std::vector<std::pair<NodeId, NodeId>> by_orig;
 };
 
 /// Builds the subgraph on `nodes` containing exactly `edges` (all endpoints
-/// must be in `nodes`). Edge order is preserved.
+/// must be in `nodes`). Node and edge order are preserved: host node
+/// nodes[i] becomes node i. O((|nodes| + |edges|) log |nodes|).
 Subgraph make_subgraph(const Graph& g, const std::vector<NodeId>& nodes,
                        const std::vector<EdgeId>& edges);
+
+/// Matches blocks to certificates by node set: for each block (distinct host
+/// ids, any order), the index of the first certificate, in certificate
+/// order, whose sorted node list equals the block's sorted nodes, or -1. A
+/// certificate listing a node twice matches no block. The certificates are
+/// sorted once and ordered by node list, and each block binary-searches
+/// that order: O((sum |block| + sum |cert|) log) when distinct certificates
+/// share at most one node, as blocks do.
+std::vector<int> match_node_sets(const std::vector<std::vector<NodeId>>& blocks,
+                                 std::vector<std::vector<NodeId>> certs);
 
 }  // namespace lrdip

@@ -1,7 +1,6 @@
 #include "protocols/forest_encoding.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "graph/degeneracy.hpp"
 #include "support/bits.hpp"
@@ -49,13 +48,43 @@ std::vector<int> contraction_coloring(const Graph& g, const std::vector<NodeId>&
       reps.push_back(v);
     }
   }
-  Graph contracted(static_cast<int>(reps.size()));
-  std::set<std::pair<NodeId, NodeId>> seen;
+  // Keep the first host edge of each contracted pair, in host edge order (the
+  // greedy coloring, and so the wire, depends on it): bucket the edges
+  // stably by their smaller endpoint, then stamp the larger one per bucket.
+  const int r = static_cast<int>(reps.size());
+  std::vector<NodeId> lo(g.m(), -1), hi(g.m(), -1);
+  std::vector<int> start(r + 1, 0);
   for (EdgeId e = 0; e < g.m(); ++e) {
     const auto [u, v] = g.endpoints(e);
     const NodeId a = rep_id[rep[u]], b = rep_id[rep[v]];
     if (a == b) continue;
-    if (seen.insert({std::min(a, b), std::max(a, b)}).second) contracted.add_edge(a, b);
+    lo[e] = std::min(a, b);
+    hi[e] = std::max(a, b);
+    ++start[lo[e] + 1];
+  }
+  for (int a = 0; a < r; ++a) start[a + 1] += start[a];
+  std::vector<EdgeId> bucketed(start[r]);
+  {
+    std::vector<int> fill(start.begin(), start.end() - 1);
+    for (EdgeId e = 0; e < g.m(); ++e) {
+      if (lo[e] != -1) bucketed[fill[lo[e]]++] = e;
+    }
+  }
+  std::vector<char> first(g.m(), 0);
+  std::vector<NodeId> stamp(r, -1);
+  for (int a = 0; a < r; ++a) {
+    for (int t = start[a]; t < start[a + 1]; ++t) {
+      const EdgeId e = bucketed[t];
+      if (stamp[hi[e]] == a) continue;
+      stamp[hi[e]] = a;
+      first[e] = 1;
+    }
+  }
+  Graph contracted(r);
+  for (EdgeId e = 0; e < g.m(); ++e) {
+    if (!first[e]) continue;
+    const auto [u, v] = g.endpoints(e);
+    contracted.add_edge(rep_id[rep[u]], rep_id[rep[v]]);
   }
   const std::vector<int> super_color = greedy_coloring(contracted);
   std::vector<int> color(g.n());

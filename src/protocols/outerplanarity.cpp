@@ -17,26 +17,6 @@
 #include "support/check.hpp"
 
 namespace lrdip {
-namespace {
-
-/// Looks up a certificate Hamiltonian cycle for the block with the given node
-/// set (host ids), if any.
-std::optional<std::vector<NodeId>> find_certificate(
-    const std::optional<std::vector<std::vector<NodeId>>>& certs,
-    const std::vector<NodeId>& block_nodes) {
-  if (!certs) return std::nullopt;
-  std::vector<NodeId> want = block_nodes;
-  std::sort(want.begin(), want.end());
-  for (const auto& cycle : *certs) {
-    if (cycle.size() != want.size()) continue;
-    std::vector<NodeId> have = cycle;
-    std::sort(have.begin(), have.end());
-    if (have == want) return cycle;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const OpParams& params,
                                  Rng& rng, FaultInjector* faults) {
@@ -55,6 +35,9 @@ StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const OpPar
   std::vector<std::vector<NodeId>> block_path(nblocks);  // host ids, P_C order
   std::vector<char> block_cycle_ok(nblocks, 0);          // endpoints adjacent
   std::vector<char> block_has_path(nblocks, 0);
+  const std::vector<int> cert_of =
+      inst.block_cycles ? match_node_sets(bct.decomp.component_nodes, *inst.block_cycles)
+                        : std::vector<int>(nblocks, -1);
   for (int b = 0; b < nblocks; ++b) {
     const auto& nodes = bct.decomp.component_nodes[b];
     if (nodes.size() == 2) {
@@ -69,8 +52,10 @@ StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const OpPar
       block_cycle_ok[b] = 1;  // no closing-edge requirement on bridges
       continue;
     }
-    std::optional<std::vector<NodeId>> cycle = find_certificate(inst.block_cycles, nodes);
-    if (!cycle) {
+    std::optional<std::vector<NodeId>> cycle;
+    if (cert_of[b] != -1) {
+      cycle = (*inst.block_cycles)[cert_of[b]];
+    } else {
       const Subgraph sub = make_subgraph(g, nodes, bct.decomp.component_edges[b]);
       auto sub_cycle = outerplanar_hamiltonian_cycle(sub.graph);
       if (sub_cycle) {
@@ -111,15 +96,15 @@ StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const OpPar
     std::vector<std::uint64_t> frag(n, 0);
     std::vector<char> draws(n, 0);
     std::vector<NodeId> leader_of(nblocks, -1);
+    std::vector<char> is_leader(n, 0);
     for (int b = 0; b < nblocks; ++b) {
-      if (block_has_path[b] && block_path[b].size() >= 2) leader_of[b] = block_path[b][1];
+      if (block_has_path[b] && block_path[b].size() >= 2) {
+        leader_of[b] = block_path[b][1];
+        is_leader[leader_of[b]] = 1;
+      }
     }
     for (NodeId v = 0; v < n; ++v) {
-      bool is_leader = false;
-      for (int b = 0; b < nblocks; ++b) {
-        if (leader_of[b] == v) is_leader = true;
-      }
-      if (bct.decomp.is_cut[v] || is_leader) {
+      if (bct.decomp.is_cut[v] || is_leader[v]) {
         frag[v] = rng.next_u64() & smask;
         draws[v] = 1;
         stage1.coin_bits[v] += ls;
@@ -240,7 +225,7 @@ StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const OpPar
     sub_inst.graph = &sub.graph;
     if (block_has_path[b]) {
       std::vector<NodeId> order;
-      for (NodeId v : block_path[b]) order.push_back(sub.orig_to_node[v]);
+      for (NodeId v : block_path[b]) order.push_back(sub.local(v));
       sub_inst.prover_order = std::move(order);
     }
     const StageResult sr = path_outerplanarity_stage(sub_inst, {params.c}, rng, faults);

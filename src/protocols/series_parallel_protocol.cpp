@@ -128,17 +128,16 @@ StageResult series_parallel_stage(const SeriesParallelInstance& inst,
         if (h.to > v && members.count(h.to)) induced.push_back(h.edge);
       }
     }
+    // Sub-ear position i is subgraph node i.
     const Subgraph sub = make_subgraph(g, subear[j], induced);
     std::vector<NodeId> parent(sub.graph.n(), -1);
     bool chain_ok = true;
-    for (std::size_t i = 1; i < subear[j].size(); ++i) {
-      const NodeId prev = sub.orig_to_node[subear[j][i - 1]];
-      const NodeId cur = sub.orig_to_node[subear[j][i]];
-      if (!sub.graph.has_edge(prev, cur)) {
+    for (NodeId cur = 1; cur < sub.graph.n(); ++cur) {
+      if (!sub.graph.has_edge(cur - 1, cur)) {
         chain_ok = false;
         break;
       }
-      parent[cur] = prev;
+      parent[cur] = cur - 1;
     }
     if (!chain_ok) {
       for (NodeId v : subear[j]) result.reject(v);
@@ -171,6 +170,18 @@ StageResult series_parallel_stage(const SeriesParallelInstance& inst,
   }
 
   // ---- Stage (iv): nesting of the attached ears within each host ear.
+  // Ears bucketed by host, in increasing index: attached[at[i] .. at[i + 1]).
+  std::vector<int> at(k + 1, 0), attached(k);
+  for (int j = 0; j < k; ++j) {
+    if (ears[j].host >= 0 && ears[j].host < k) ++at[ears[j].host + 1];
+  }
+  for (int i = 0; i < k; ++i) at[i + 1] += at[i];
+  {
+    std::vector<int> fill(at.begin(), at.end() - 1);
+    for (int j = 0; j < k; ++j) {
+      if (ears[j].host >= 0 && ears[j].host < k) attached[fill[ears[j].host]++] = j;
+    }
+  }
   const int arc_relay_bits = (1 + 2 + 2 * ls + (2 * ls + 1)) + (1 + 8 + 16);
   for (int i = 0; i < k; ++i) {
     const auto& path = ears[i].path;
@@ -184,8 +195,8 @@ StageResult series_parallel_stage(const SeriesParallelInstance& inst,
     }
     std::set<std::pair<int, int>> spans;
     std::vector<std::vector<NodeId>> relays;  // interior nodes relaying each arc
-    for (int j = 0; j < k; ++j) {
-      if (ears[j].host != i) continue;
+    for (int t = at[i]; t < at[i + 1]; ++t) {
+      const int j = attached[t];
       const auto ita = pos.find(ears[j].path.front());
       const auto itb = pos.find(ears[j].path.back());
       if (ita == pos.end() || itb == pos.end()) continue;  // rejected in (iii)
@@ -270,6 +281,21 @@ StageResult treewidth2_stage(const Treewidth2Instance& inst, const SpProtocolPar
   result = compose_parallel(result, verify_spanning_tree(g, tree.parent,
                                                          po_repetitions(n, params.c), rng, faults));
 
+  // Each block's certificate: the first whose node set (the union of its
+  // ears) is the block's.
+  std::vector<int> cert_of(bct.decomp.num_components(), -1);
+  if (inst.block_ears) {
+    std::vector<std::vector<NodeId>> cert_nodes;
+    cert_nodes.reserve(inst.block_ears->size());
+    for (const EarDecomposition& cert : *inst.block_ears) {
+      std::vector<NodeId>& nodes = cert_nodes.emplace_back();
+      for (const Ear& e : cert) nodes.insert(nodes.end(), e.path.begin(), e.path.end());
+      std::sort(nodes.begin(), nodes.end());
+      nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+    }
+    cert_of = match_node_sets(bct.decomp.component_nodes, std::move(cert_nodes));
+  }
+
   // Per-block series-parallel stage.
   for (int b = 0; b < bct.decomp.num_components(); ++b) {
     const auto& nodes = bct.decomp.component_nodes[b];
@@ -277,21 +303,12 @@ StageResult treewidth2_stage(const Treewidth2Instance& inst, const SpProtocolPar
     const Subgraph sub = make_subgraph(g, nodes, bct.decomp.component_edges[b]);
     SeriesParallelInstance si;
     si.graph = &sub.graph;
-    if (inst.block_ears) {
-      std::vector<NodeId> want = nodes;
-      std::sort(want.begin(), want.end());
-      for (const auto& cert : *inst.block_ears) {
-        std::set<NodeId> cert_nodes;
-        for (const Ear& e : cert) cert_nodes.insert(e.path.begin(), e.path.end());
-        std::vector<NodeId> have(cert_nodes.begin(), cert_nodes.end());
-        if (have != want) continue;
-        EarDecomposition mapped = cert;
-        for (Ear& e : mapped) {
-          for (NodeId& v : e.path) v = sub.orig_to_node[v];
-        }
-        si.ears = std::move(mapped);
-        break;
+    if (cert_of[b] != -1) {
+      EarDecomposition mapped = (*inst.block_ears)[cert_of[b]];
+      for (Ear& e : mapped) {
+        for (NodeId& v : e.path) v = sub.local(v);
       }
+      si.ears = std::move(mapped);
     }
     const StageResult sr = series_parallel_stage(si, params, rng, faults);
     for (NodeId w = 0; w < sub.graph.n(); ++w) {

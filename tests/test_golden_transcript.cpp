@@ -45,18 +45,36 @@ constexpr Golden kGolden[kNumTasks] = {
     {Task::log_star_planarity, 0xd53dfb9cddcdf089ULL},
 };
 
+// The same seeds at n = 2^10, where the registry's outerplanar and treewidth2
+// families glue 16 blocks, each matched to its generator certificate by node
+// set. At n = 64 they have one block, and treewidth2's digest is the same
+// with and without certificates, so a lookup that silently fell back to the
+// centralized decomposition would pass the table above.
+constexpr int kManyBlocksN = 1 << 10;
+constexpr Golden kGoldenManyBlocks[] = {
+    {Task::outerplanar, 0x1aca959270c49314ULL},
+    {Task::series_parallel, 0xbcda4f63ebd6dd9dULL},
+    {Task::treewidth2, 0x64c353d8cba0bbcbULL},
+};
+
+void expect_pinned(const Golden& g, int n) {
+  SCOPED_TRACE(task_name(g.task));
+  const BoundInstance yes = fixtures::yes_instance(g.task, n, kGenSeed);
+  adversary::TranscriptRecorder recorder;
+  Rng rng(kCoinSeed);
+  const Outcome o = run_protocol(yes.view(), {3}, rng, &recorder);
+  EXPECT_TRUE(o.accepted);
+  const std::uint64_t actual = recorder.transcript().digest();
+  EXPECT_EQ(actual, g.digest) << "transcript digest changed for " << task_name(g.task)
+                              << " at n = " << n << "; repin to 0x" << std::hex << actual;
+}
+
 TEST(GoldenTranscript, HonestLabelStreamDigestsArePinned) {
-  for (const Golden& g : kGolden) {
-    SCOPED_TRACE(task_name(g.task));
-    const BoundInstance yes = fixtures::yes_instance(g.task, kN, kGenSeed);
-    adversary::TranscriptRecorder recorder;
-    Rng rng(kCoinSeed);
-    const Outcome o = run_protocol(yes.view(), {3}, rng, &recorder);
-    EXPECT_TRUE(o.accepted);
-    const std::uint64_t actual = recorder.transcript().digest();
-    EXPECT_EQ(actual, g.digest) << "transcript digest changed for " << task_name(g.task)
-                                << "; if intentional, repin to 0x" << std::hex << actual;
-  }
+  for (const Golden& g : kGolden) expect_pinned(g, kN);
+}
+
+TEST(GoldenTranscript, ManyBlockDigestsArePinned) {
+  for (const Golden& g : kGoldenManyBlocks) expect_pinned(g, kManyBlocksN);
 }
 
 TEST(GoldenTranscript, LogStarDigestIsThreadCountInvariant) {

@@ -95,9 +95,10 @@ TEST(Algorithms, SubgraphMapsIds) {
   const Subgraph s = make_subgraph(g, {0, 1, 3, 4}, {e01, e34});
   EXPECT_EQ(s.graph.n(), 4);
   EXPECT_EQ(s.graph.m(), 2);
-  EXPECT_EQ(s.node_to_orig[s.orig_to_node[3]], 3);
+  EXPECT_EQ(s.node_to_orig[s.local(3)], 3);
+  EXPECT_EQ(s.local(2), -1);
   EXPECT_EQ(s.edge_to_orig[0], e01);
-  EXPECT_TRUE(s.graph.has_edge(s.orig_to_node[0], s.orig_to_node[1]));
+  EXPECT_TRUE(s.graph.has_edge(s.local(0), s.local(1)));
 }
 
 TEST(Biconnected, TwoTrianglesSharedNode) {

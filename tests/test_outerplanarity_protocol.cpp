@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <variant>
+
+#include "adversary/prover.hpp"
 #include "support/check.hpp"
 #include "gen/generators.hpp"
 #include "graph/outerplanar.hpp"
 #include "protocols/outerplanarity.hpp"
 #include "support/rng.hpp"
+#include "test_instances.hpp"
 
 namespace lrdip {
 namespace {
@@ -29,6 +34,70 @@ TEST(OuterplanarityProtocol, CompletenessGlued) {
     const OuterplanarityInstance inst{&gi.graph, gi.block_cycles};
     EXPECT_TRUE(run_outerplanarity(inst, {3}, rng).accepted) << t;
   }
+}
+
+TEST(OuterplanarityProtocol, CertificatesMatchBlocksByNodeSet) {
+  // A multi-block registry instance (16 blocks). Each block takes the first
+  // certificate, in certificate order, whose node set equals its own.
+  using Cycles = std::vector<std::vector<NodeId>>;
+  const BoundInstance yes = fixtures::yes_instance(Task::outerplanar, 1 << 10, 0x901de2ULL);
+  const OuterplanarityInstance& base = *std::get<const OuterplanarityInstance*>(yes.view().ref);
+  ASSERT_TRUE(base.block_cycles.has_value());
+  const Cycles& certs = *base.block_cycles;
+  ASSERT_GT(certs.size(), 1u);
+  const auto digest = [&](Cycles block_cycles) {
+    const OuterplanarityInstance inst{base.graph, std::move(block_cycles)};
+    adversary::TranscriptRecorder recorder;
+    Rng rng(0xc0135eedULL);
+    (void)run_protocol(make_instance(inst), {3}, rng, &recorder);
+    return recorder.transcript().digest();
+  };
+  const auto with_first = [&](const std::vector<NodeId>& cycle) {
+    Cycles out{cycle};
+    out.insert(out.end(), certs.begin(), certs.end());
+    return out;
+  };
+  const std::uint64_t reference = digest(certs);
+  Rng rng(0xc0135eedULL);
+  ASSERT_TRUE(run_protocol(yes.view(), {3}, rng).accepted);
+
+  EXPECT_EQ(digest({certs.rbegin(), certs.rend()}), reference);
+
+  // Decoys share block 0's smallest node but not its node set: one swaps the
+  // block's largest node for a larger node outside it, one adds that node.
+  // Neither is taken, whether or not block 0's own certificate is present.
+  const NodeId largest = *std::max_element(certs[0].begin(), certs[0].end());
+  const NodeId outside = base.graph->n() - 1;
+  ASSERT_GT(outside, largest);
+  std::vector<NodeId> swapped = certs[0];
+  std::replace(swapped.begin(), swapped.end(), largest, outside);
+  std::vector<NodeId> grown = certs[0];
+  grown.push_back(outside);
+  const Cycles without(certs.begin() + 1, certs.end());
+  const std::uint64_t fallback = digest(without);
+  for (const std::vector<NodeId>& decoy : {swapped, grown}) {
+    EXPECT_EQ(digest(with_first(decoy)), reference);
+    Cycles in_place = without;
+    in_place.insert(in_place.begin(), decoy);
+    EXPECT_EQ(digest(in_place), fallback);
+  }
+
+  // Same node set twice: the first wins. The reversed cycle keeps block 0's
+  // node set and changes what goes on the wire.
+  const std::vector<NodeId> flipped(certs[0].rbegin(), certs[0].rend());
+  Cycles flipped_only = certs;
+  flipped_only[0] = flipped;
+  const std::uint64_t flipped_digest = digest(flipped_only);
+  EXPECT_NE(flipped_digest, reference);
+  EXPECT_EQ(digest(with_first(flipped)), flipped_digest);
+  Cycles flipped_last = certs;
+  flipped_last.push_back(flipped);
+  EXPECT_EQ(digest(flipped_last), reference);
+
+  // A cycle through two blocks' nodes matches neither and is ignored.
+  std::vector<NodeId> merged = certs[0];
+  merged.insert(merged.end(), certs[1].begin(), certs[1].end());
+  EXPECT_EQ(digest(with_first(merged)), reference);
 }
 
 TEST(OuterplanarityProtocol, CompletenessWithoutCertificateSmall) {
