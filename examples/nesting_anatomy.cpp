@@ -30,7 +30,12 @@ int main() {
 
   auto edge_str = [&](EdgeId e) {
     const auto [u, v] = g.endpoints(e);
-    return "(" + name(std::min(u, v)) + "," + name(std::max(u, v)) + ")";
+    std::string s = "(";
+    s += name(std::min(u, v));
+    s += ',';
+    s += name(std::max(u, v));
+    s += ')';
+    return s;
   };
 
   std::cout << "edge facts (cf. the Figure 1 caption):\n";

@@ -34,15 +34,6 @@ class Fp {
   /// Bits to transmit one field element.
   int element_bits() const { return bits_for_values(p_); }
 
-  /// True when reduce/mul run divide-free. Always true since construction
-  /// rejects p >= 2^32; kept so the --metrics payload can attest to it.
-  bool barrett_enabled() const { return barrett_m_ != 0; }
-
-  /// Class-level form of the same attestation, for call sites (finalize's
-  /// metrics stamp) that hold no field instance: every constructible Fp runs
-  /// Barrett, because construction rejects the moduli that could not.
-  static constexpr bool barrett_always_enabled() { return true; }
-
   /// The precomputed floor(2^64 / p). The span kernels in field/fp_simd.hpp
   /// replay the same Barrett sequence lane-parallel.
   std::uint64_t barrett_m() const { return barrett_m_; }

@@ -40,17 +40,28 @@ void scalar_reduce_span(std::span<std::uint64_t> x, std::uint64_t b, std::uint64
   for (std::uint64_t& v : x) v = scalar_reduce(v, b, m);
 }
 
-void scalar_mul_span(const Fp& f, std::span<const std::uint64_t> a,
-                     std::span<const std::uint64_t> b, std::span<std::uint64_t> out) {
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = f.mul(a[i], b[i]);
-}
-
 std::uint64_t scalar_phi_product(const Fp& f, std::span<const std::uint64_t> s,
                                  std::uint64_t xr) {
   std::uint64_t acc = 1 % f.modulus();
   for (std::uint64_t e : s) acc = f.mul(acc, f.sub(f.reduce(e), xr));
   return acc;
 }
+
+void scalar_phi_prefix_rows(const Fp& f, std::span<const std::uint64_t> blk_pos, int B,
+                            std::span<const std::uint64_t> factors,
+                            std::span<std::uint64_t> rows) {
+  for (std::size_t b = 0; b < blk_pos.size(); ++b) {
+    std::uint64_t* row = rows.data() + b * (static_cast<std::size_t>(B) + 1);
+    const std::uint64_t x1 = blk_pos[b];
+    std::uint64_t acc = 1;
+    for (int t = 1; t <= B; ++t) {
+      row[t] = acc;  // product over indices strictly below t
+      if ((x1 >> (B - t)) & 1) acc = f.mul(acc, factors[static_cast<std::size_t>(t)]);
+    }
+  }
+}
+
+#if LRDIP_SIMD_X86
 
 // ---------------------------------------------------------------------------
 // Montgomery (REDC) support for the phi-product accumulator chains. With
@@ -60,8 +71,8 @@ std::uint64_t scalar_phi_product(const Fp& f, std::span<const std::uint64_t> s,
 // plain shift. Each chain step therefore picks up one stray R^{-1} factor;
 // the caller cancels all of them at once with a single scalar multiplication
 // by R^K mod p (K = vector-processed element count), so the returned value is
-// bit-identical to the Barrett/scalar paths. Moduli that fail the gate (even,
-// or >= 2^31) take the pure-Barrett kernels instead.
+// bit-identical to the scalar path. Moduli that fail the gate (even, or
+// >= 2^31) take the scalar reference instead.
 // ---------------------------------------------------------------------------
 
 constexpr bool mont_ok(std::uint64_t p) {
@@ -81,22 +92,6 @@ std::uint32_t mont_ninv32(std::uint64_t p) {
 std::uint64_t mont_fixup(const Fp& f, std::uint64_t k) {
   return f.pow(f.reduce(std::uint64_t{1} << 32), k);
 }
-
-void scalar_phi_prefix_rows(const Fp& f, std::span<const std::uint64_t> blk_pos, int B,
-                            std::span<const std::uint64_t> factors,
-                            std::span<std::uint64_t> rows) {
-  for (std::size_t b = 0; b < blk_pos.size(); ++b) {
-    std::uint64_t* row = rows.data() + b * (static_cast<std::size_t>(B) + 1);
-    const std::uint64_t x1 = blk_pos[b];
-    std::uint64_t acc = 1;
-    for (int t = 1; t <= B; ++t) {
-      row[t] = acc;  // product over indices strictly below t
-      if ((x1 >> (B - t)) & 1) acc = f.mul(acc, factors[static_cast<std::size_t>(t)]);
-    }
-  }
-}
-
-#if LRDIP_SIMD_X86
 
 // ---------------------------------------------------------------------------
 // AVX2: 4 lanes. No 64-bit unsigned compare or full 64x64 multiply exists at
@@ -193,72 +188,10 @@ LRDIP_TGT_AVX2 void reduce_span_avx2(std::span<std::uint64_t> x, std::uint64_t b
   scalar_reduce_span(x.subspan(i), bound, bm);
 }
 
-LRDIP_TGT_AVX2 void mul_span_avx2(const Fp& f, std::span<const std::uint64_t> a,
-                                  std::span<const std::uint64_t> c,
-                                  std::span<std::uint64_t> out) {
-  const __m256i b = _mm256_set1_epi64x(static_cast<long long>(f.modulus()));
-  const __m256i bm1 = _mm256_set1_epi64x(static_cast<long long>(f.modulus() - 1));
-  const __m256i m = _mm256_set1_epi64x(static_cast<long long>(f.barrett_m()));
-  std::size_t i = 0;
-  for (; i + 4 <= out.size(); i += 4) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a.data() + i));
-    const __m256i vc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c.data() + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out.data() + i),
-                        mulmod_avx2(va, vc, b, bm1, m));
-  }
-  scalar_mul_span(f, a.subspan(i), c.subspan(i), out.subspan(i));
-}
-
-/// Pure-Barrett phi product — the path for moduli outside the Montgomery
-/// gate (even, or >= 2^31). Four independent accumulator vectors hide the
-/// multiply latency of the per-lane dependency chain; the product is
-/// commutative, so the final regrouping cannot change the value.
-LRDIP_TGT_AVX2 std::uint64_t phi_product_barrett_avx2(const Fp& f,
-                                                      std::span<const std::uint64_t> s,
-                                                      std::uint64_t xr) {
-  const __m256i b = _mm256_set1_epi64x(static_cast<long long>(f.modulus()));
-  const __m256i bm1 = _mm256_set1_epi64x(static_cast<long long>(f.modulus() - 1));
-  const __m256i m = _mm256_set1_epi64x(static_cast<long long>(f.barrett_m()));
-  const __m256i xv = _mm256_set1_epi64x(static_cast<long long>(xr));
-  const std::uint64_t one = 1 % f.modulus();
-  __m256i acc0 = _mm256_set1_epi64x(static_cast<long long>(one));
-  __m256i acc1 = acc0;
-  __m256i acc2 = acc0;
-  __m256i acc3 = acc0;
-  std::size_t i = 0;
-  for (; i + 16 <= s.size(); i += 16) {
-    __m256i e0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s.data() + i));
-    __m256i e1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s.data() + i + 4));
-    __m256i e2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s.data() + i + 8));
-    __m256i e3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s.data() + i + 12));
-    e0 = submod_avx2(reduce_avx2(e0, b, bm1, m), xv, b);
-    e1 = submod_avx2(reduce_avx2(e1, b, bm1, m), xv, b);
-    e2 = submod_avx2(reduce_avx2(e2, b, bm1, m), xv, b);
-    e3 = submod_avx2(reduce_avx2(e3, b, bm1, m), xv, b);
-    acc0 = mulmod_avx2(acc0, e0, b, bm1, m);
-    acc1 = mulmod_avx2(acc1, e1, b, bm1, m);
-    acc2 = mulmod_avx2(acc2, e2, b, bm1, m);
-    acc3 = mulmod_avx2(acc3, e3, b, bm1, m);
-  }
-  for (; i + 4 <= s.size(); i += 4) {
-    __m256i e = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s.data() + i));
-    e = submod_avx2(reduce_avx2(e, b, bm1, m), xv, b);
-    acc0 = mulmod_avx2(acc0, e, b, bm1, m);
-  }
-  alignas(32) std::uint64_t lanes[16];
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), acc0);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes + 4), acc1);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes + 8), acc2);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes + 12), acc3);
-  std::uint64_t acc = one;
-  for (std::uint64_t l : lanes) acc = f.mul(acc, l);
-  for (; i < s.size(); ++i) acc = f.mul(acc, f.sub(f.reduce(s[i]), xr));
-  return acc;
-}
-
+/// Needs odd p < 2^31 (mont_ok); the dispatcher routes other moduli to the
+/// scalar reference.
 LRDIP_TGT_AVX2 std::uint64_t phi_product_avx2(const Fp& f, std::span<const std::uint64_t> s,
                                               std::uint64_t xr) {
-  if (!mont_ok(f.modulus())) return phi_product_barrett_avx2(f, s, xr);
   const __m256i b = _mm256_set1_epi64x(static_cast<long long>(f.modulus()));
   const __m256i bm1 = _mm256_set1_epi64x(static_cast<long long>(f.modulus() - 1));
   const __m256i m = _mm256_set1_epi64x(static_cast<long long>(f.barrett_m()));
@@ -332,216 +265,6 @@ LRDIP_TGT_AVX2 void phi_prefix_rows_avx2(const Fp& f, std::span<const std::uint6
                          rows.subspan(g * stride));
 }
 
-// ---------------------------------------------------------------------------
-// AVX-512: 8 lanes. Native 64-bit unsigned compares (mask registers) and
-// VPMULLQ make the sequence shorter than the AVX2 emulation.
-// ---------------------------------------------------------------------------
-
-#define LRDIP_TGT_AVX512 __attribute__((target("avx512f,avx512dq,avx512vl")))
-
-LRDIP_TGT_AVX512 inline __m512i mulhi64_avx512(__m512i x, __m512i m) {
-  const __m512i lomask = _mm512_set1_epi64(0xffffffffLL);
-  const __m512i x_lo = _mm512_and_si512(x, lomask);
-  const __m512i x_hi = _mm512_srli_epi64(x, 32);
-  const __m512i m_lo = _mm512_and_si512(m, lomask);
-  const __m512i m_hi = _mm512_srli_epi64(m, 32);
-  const __m512i t = _mm512_mul_epu32(x_lo, m_lo);
-  const __m512i u = _mm512_add_epi64(_mm512_mul_epu32(x_hi, m_lo), _mm512_srli_epi64(t, 32));
-  const __m512i v = _mm512_add_epi64(_mm512_mul_epu32(x_lo, m_hi), _mm512_and_si512(u, lomask));
-  return _mm512_add_epi64(_mm512_mul_epu32(x_hi, m_hi),
-                          _mm512_add_epi64(_mm512_srli_epi64(u, 32), _mm512_srli_epi64(v, 32)));
-}
-
-/// Low 64 bits of q * b for b < 2^32. Two VPMULUDQ beat VPMULLQ, which
-/// microcodes to three multiplies on most AVX-512 parts.
-LRDIP_TGT_AVX512 inline __m512i mullo64_b32_avx512(__m512i q, __m512i b) {
-  const __m512i lo = _mm512_mul_epu32(q, b);
-  const __m512i hi = _mm512_mul_epu32(_mm512_srli_epi64(q, 32), b);
-  return _mm512_add_epi64(lo, _mm512_slli_epi64(hi, 32));
-}
-
-LRDIP_TGT_AVX512 inline __m512i reduce_avx512(__m512i x, __m512i b, __m512i m) {
-  const __m512i q = mulhi64_avx512(x, m);
-  __m512i r = _mm512_sub_epi64(x, mullo64_b32_avx512(q, b));
-  r = _mm512_mask_sub_epi64(r, _mm512_cmpge_epu64_mask(r, b), r, b);
-  r = _mm512_mask_sub_epi64(r, _mm512_cmpge_epu64_mask(r, b), r, b);
-  return r;
-}
-
-LRDIP_TGT_AVX512 inline __m512i mulmod_avx512(__m512i a, __m512i c, __m512i b, __m512i m) {
-  return reduce_avx512(_mm512_mul_epu32(a, c), b, m);
-}
-
-LRDIP_TGT_AVX512 inline __m512i submod_avx512(__m512i a, __m512i c, __m512i b) {
-  const __mmask8 under = _mm512_cmplt_epu64_mask(a, c);
-  return _mm512_mask_add_epi64(_mm512_sub_epi64(a, c), under,
-                               _mm512_sub_epi64(a, c), b);
-}
-
-/// Lazy Barrett (one conditional subtract, r < 2b) — see reduce_lazy_avx2.
-LRDIP_TGT_AVX512 inline __m512i reduce_lazy_avx512(__m512i x, __m512i b, __m512i m) {
-  const __m512i q = mulhi64_avx512(x, m);
-  __m512i r = _mm512_sub_epi64(x, mullo64_b32_avx512(q, b));
-  r = _mm512_mask_sub_epi64(r, _mm512_cmpge_epu64_mask(r, b), r, b);
-  return r;
-}
-
-/// REDC and the Montgomery chain step — see the AVX2 twins for the bound
-/// arguments (they only use 32x32 multiplies, so the sequence is identical).
-LRDIP_TGT_AVX512 inline __m512i redc_avx512(__m512i t, __m512i b, __m512i pq) {
-  const __m512i c = _mm512_mul_epu32(_mm512_mul_epu32(t, pq), b);
-  return _mm512_srli_epi64(_mm512_add_epi64(t, c), 32);
-}
-
-LRDIP_TGT_AVX512 inline __m512i mulredc_avx512(__m512i acc, __m512i w, __m512i b,
-                                               __m512i pq) {
-  __m512i r = redc_avx512(_mm512_mul_epu32(acc, w), b, pq);
-  return _mm512_mask_sub_epi64(r, _mm512_cmpge_epu64_mask(r, b), r, b);
-}
-
-LRDIP_TGT_AVX512 void reduce_span_avx512(std::span<std::uint64_t> x, std::uint64_t bound,
-                                         std::uint64_t bm) {
-  const __m512i b = _mm512_set1_epi64(static_cast<long long>(bound));
-  const __m512i m = _mm512_set1_epi64(static_cast<long long>(bm));
-  std::size_t i = 0;
-  for (; i + 8 <= x.size(); i += 8) {
-    __m512i v = _mm512_loadu_si512(x.data() + i);
-    v = reduce_avx512(v, b, m);
-    _mm512_storeu_si512(x.data() + i, v);
-  }
-  scalar_reduce_span(x.subspan(i), bound, bm);
-}
-
-LRDIP_TGT_AVX512 void mul_span_avx512(const Fp& f, std::span<const std::uint64_t> a,
-                                      std::span<const std::uint64_t> c,
-                                      std::span<std::uint64_t> out) {
-  const __m512i b = _mm512_set1_epi64(static_cast<long long>(f.modulus()));
-  const __m512i m = _mm512_set1_epi64(static_cast<long long>(f.barrett_m()));
-  std::size_t i = 0;
-  for (; i + 8 <= out.size(); i += 8) {
-    const __m512i va = _mm512_loadu_si512(a.data() + i);
-    const __m512i vc = _mm512_loadu_si512(c.data() + i);
-    _mm512_storeu_si512(out.data() + i, mulmod_avx512(va, vc, b, m));
-  }
-  scalar_mul_span(f, a.subspan(i), c.subspan(i), out.subspan(i));
-}
-
-/// Pure-Barrett phi product for moduli outside the Montgomery gate; same
-/// four-accumulator structure as the AVX2 path (see the comment there).
-LRDIP_TGT_AVX512 std::uint64_t phi_product_barrett_avx512(const Fp& f,
-                                                          std::span<const std::uint64_t> s,
-                                                          std::uint64_t xr) {
-  const __m512i b = _mm512_set1_epi64(static_cast<long long>(f.modulus()));
-  const __m512i m = _mm512_set1_epi64(static_cast<long long>(f.barrett_m()));
-  const __m512i xv = _mm512_set1_epi64(static_cast<long long>(xr));
-  const std::uint64_t one = 1 % f.modulus();
-  __m512i acc0 = _mm512_set1_epi64(static_cast<long long>(one));
-  __m512i acc1 = acc0;
-  __m512i acc2 = acc0;
-  __m512i acc3 = acc0;
-  std::size_t i = 0;
-  for (; i + 32 <= s.size(); i += 32) {
-    __m512i e0 = _mm512_loadu_si512(s.data() + i);
-    __m512i e1 = _mm512_loadu_si512(s.data() + i + 8);
-    __m512i e2 = _mm512_loadu_si512(s.data() + i + 16);
-    __m512i e3 = _mm512_loadu_si512(s.data() + i + 24);
-    e0 = submod_avx512(reduce_avx512(e0, b, m), xv, b);
-    e1 = submod_avx512(reduce_avx512(e1, b, m), xv, b);
-    e2 = submod_avx512(reduce_avx512(e2, b, m), xv, b);
-    e3 = submod_avx512(reduce_avx512(e3, b, m), xv, b);
-    acc0 = mulmod_avx512(acc0, e0, b, m);
-    acc1 = mulmod_avx512(acc1, e1, b, m);
-    acc2 = mulmod_avx512(acc2, e2, b, m);
-    acc3 = mulmod_avx512(acc3, e3, b, m);
-  }
-  for (; i + 8 <= s.size(); i += 8) {
-    __m512i e = _mm512_loadu_si512(s.data() + i);
-    e = submod_avx512(reduce_avx512(e, b, m), xv, b);
-    acc0 = mulmod_avx512(acc0, e, b, m);
-  }
-  alignas(64) std::uint64_t lanes[32];
-  _mm512_storeu_si512(lanes, acc0);
-  _mm512_storeu_si512(lanes + 8, acc1);
-  _mm512_storeu_si512(lanes + 16, acc2);
-  _mm512_storeu_si512(lanes + 24, acc3);
-  std::uint64_t acc = one;
-  for (std::uint64_t l : lanes) acc = f.mul(acc, l);
-  for (; i < s.size(); ++i) acc = f.mul(acc, f.sub(f.reduce(s[i]), xr));
-  return acc;
-}
-
-LRDIP_TGT_AVX512 std::uint64_t phi_product_avx512(const Fp& f,
-                                                  std::span<const std::uint64_t> s,
-                                                  std::uint64_t xr) {
-  if (!mont_ok(f.modulus())) return phi_product_barrett_avx512(f, s, xr);
-  const __m512i b = _mm512_set1_epi64(static_cast<long long>(f.modulus()));
-  const __m512i m = _mm512_set1_epi64(static_cast<long long>(f.barrett_m()));
-  const __m512i pq = _mm512_set1_epi64(static_cast<long long>(mont_ninv32(f.modulus())));
-  const __m512i xv = _mm512_set1_epi64(static_cast<long long>(xr));
-  const std::uint64_t one = 1 % f.modulus();
-  // Montgomery chain with the scalar fix-up, exactly as in the AVX2 path.
-  __m512i acc0 = _mm512_set1_epi64(static_cast<long long>(one));
-  __m512i acc1 = acc0;
-  __m512i acc2 = acc0;
-  __m512i acc3 = acc0;
-  std::size_t i = 0;
-  for (; i + 32 <= s.size(); i += 32) {
-    __m512i e0 = _mm512_loadu_si512(s.data() + i);
-    __m512i e1 = _mm512_loadu_si512(s.data() + i + 8);
-    __m512i e2 = _mm512_loadu_si512(s.data() + i + 16);
-    __m512i e3 = _mm512_loadu_si512(s.data() + i + 24);
-    e0 = submod_avx512(reduce_lazy_avx512(e0, b, m), xv, b);
-    e1 = submod_avx512(reduce_lazy_avx512(e1, b, m), xv, b);
-    e2 = submod_avx512(reduce_lazy_avx512(e2, b, m), xv, b);
-    e3 = submod_avx512(reduce_lazy_avx512(e3, b, m), xv, b);
-    acc0 = mulredc_avx512(acc0, e0, b, pq);
-    acc1 = mulredc_avx512(acc1, e1, b, pq);
-    acc2 = mulredc_avx512(acc2, e2, b, pq);
-    acc3 = mulredc_avx512(acc3, e3, b, pq);
-  }
-  for (; i + 8 <= s.size(); i += 8) {
-    __m512i e = _mm512_loadu_si512(s.data() + i);
-    e = submod_avx512(reduce_lazy_avx512(e, b, m), xv, b);
-    acc0 = mulredc_avx512(acc0, e, b, pq);
-  }
-  alignas(64) std::uint64_t lanes[32];
-  _mm512_storeu_si512(lanes, acc0);
-  _mm512_storeu_si512(lanes + 8, acc1);
-  _mm512_storeu_si512(lanes + 16, acc2);
-  _mm512_storeu_si512(lanes + 24, acc3);
-  std::uint64_t acc = mont_fixup(f, i);  // cancels the i chain REDCs
-  for (std::uint64_t l : lanes) acc = f.mul(acc, l);
-  for (; i < s.size(); ++i) acc = f.mul(acc, f.sub(f.reduce(s[i]), xr));
-  return acc;
-}
-
-LRDIP_TGT_AVX512 void phi_prefix_rows_avx512(const Fp& f,
-                                             std::span<const std::uint64_t> blk_pos, int B,
-                                             std::span<const std::uint64_t> factors,
-                                             std::span<std::uint64_t> rows) {
-  const __m512i b = _mm512_set1_epi64(static_cast<long long>(f.modulus()));
-  const __m512i m = _mm512_set1_epi64(static_cast<long long>(f.barrett_m()));
-  const std::size_t stride = static_cast<std::size_t>(B) + 1;
-  std::size_t g = 0;
-  for (; g + 8 <= blk_pos.size(); g += 8) {
-    const __m512i pos = _mm512_loadu_si512(blk_pos.data() + g);
-    __m512i acc = _mm512_set1_epi64(1);
-    alignas(64) std::uint64_t lanes[8];
-    for (int t = 1; t <= B; ++t) {
-      _mm512_storeu_si512(lanes, acc);
-      for (int l = 0; l < 8; ++l) rows[(g + l) * stride + static_cast<std::size_t>(t)] = lanes[l];
-      const __mmask8 take = _mm512_test_epi64_mask(
-          _mm512_srli_epi64(pos, B - t), _mm512_set1_epi64(1));
-      const __m512i mult = mulmod_avx512(
-          acc, _mm512_set1_epi64(static_cast<long long>(factors[static_cast<std::size_t>(t)])),
-          b, m);
-      acc = _mm512_mask_mov_epi64(acc, take, mult);
-    }
-  }
-  scalar_phi_prefix_rows(f, blk_pos.subspan(g), B, factors,
-                         rows.subspan(g * stride));
-}
-
 #endif  // LRDIP_SIMD_X86
 
 /// Shared per-index factors (t - rp) mod p for the prefix-row kernels:
@@ -558,20 +281,10 @@ std::vector<std::uint64_t> prefix_factors(const Fp& f, int B, std::uint64_t rp) 
 }  // namespace
 
 int active_lanes() {
-  switch (simd_active_level()) {
-    case SimdLevel::avx512:
-      return 8;
-    case SimdLevel::avx2:
-      return 4;
-    case SimdLevel::scalar:
-      return 1;
-  }
-  return 1;
+  return simd_lanes(simd_active_level());
 }
 
 const char* active_level_name() { return simd_level_name(simd_active_level()); }
-
-void reduce_span(const Fp& f, std::span<std::uint64_t> x) { mod_span(f.modulus(), x); }
 
 void mod_span(std::uint64_t bound, std::span<std::uint64_t> x) {
   LRDIP_CHECK(bound >= 1);
@@ -587,49 +300,22 @@ void mod_span(std::uint64_t bound, std::span<std::uint64_t> x) {
   }
   const std::uint64_t m = barrett_m_for(bound);
 #if LRDIP_SIMD_X86
-  switch (simd_active_level()) {
-    case SimdLevel::avx512:
-      reduce_span_avx512(x, bound, m);
-      return;
-    case SimdLevel::avx2:
-      reduce_span_avx2(x, bound, m);
-      return;
-    case SimdLevel::scalar:
-      break;
+  if (simd_active_level() == SimdLevel::avx2) {
+    reduce_span_avx2(x, bound, m);
+    return;
   }
 #endif
   scalar_reduce_span(x, bound, m);
-}
-
-void mul_span(const Fp& f, std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-              std::span<std::uint64_t> out) {
-  LRDIP_CHECK(a.size() == out.size() && b.size() == out.size());
-#if LRDIP_SIMD_X86
-  switch (simd_active_level()) {
-    case SimdLevel::avx512:
-      mul_span_avx512(f, a, b, out);
-      return;
-    case SimdLevel::avx2:
-      mul_span_avx2(f, a, b, out);
-      return;
-    case SimdLevel::scalar:
-      break;
-  }
-#endif
-  scalar_mul_span(f, a, b, out);
 }
 
 std::uint64_t phi_product(const Fp& f, std::span<const std::uint64_t> multiset,
                           std::uint64_t x) {
   const std::uint64_t xr = f.reduce(x);
 #if LRDIP_SIMD_X86
-  switch (simd_active_level()) {
-    case SimdLevel::avx512:
-      return phi_product_avx512(f, multiset, xr);
-    case SimdLevel::avx2:
-      return phi_product_avx2(f, multiset, xr);
-    case SimdLevel::scalar:
-      break;
+  // Moduli outside the Montgomery gate (p = 2 or p >= 2^31) never reach a
+  // protocol path; they take the scalar reference.
+  if (simd_active_level() == SimdLevel::avx2 && mont_ok(f.modulus())) {
+    return phi_product_avx2(f, multiset, xr);
   }
 #endif
   return scalar_phi_product(f, multiset, xr);
@@ -641,15 +327,9 @@ void phi_prefix_rows(const Fp& f, std::span<const std::uint64_t> blk_pos, int B,
   LRDIP_CHECK(rows.size() >= blk_pos.size() * (static_cast<std::size_t>(B) + 1));
   const std::vector<std::uint64_t> factors = prefix_factors(f, B, rp);
 #if LRDIP_SIMD_X86
-  switch (simd_active_level()) {
-    case SimdLevel::avx512:
-      phi_prefix_rows_avx512(f, blk_pos, B, factors, rows);
-      return;
-    case SimdLevel::avx2:
-      phi_prefix_rows_avx2(f, blk_pos, B, factors, rows);
-      return;
-    case SimdLevel::scalar:
-      break;
+  if (simd_active_level() == SimdLevel::avx2) {
+    phi_prefix_rows_avx2(f, blk_pos, B, factors, rows);
+    return;
   }
 #endif
   scalar_phi_prefix_rows(f, blk_pos, B, factors, rows);

@@ -4,25 +4,25 @@
 // The verifier's hot loops are all multiset-polynomial work — per-node
 // evaluations of phi_S(x) = prod_{s in S}(s - x) over a polylog-sized prime
 // field — which is data-parallel across elements, nodes and blocks. These
-// kernels run that arithmetic 4 (AVX2) or 8 (AVX-512) lanes at a time on
-// contiguous std::uint64_t spans, with the scalar Fp path as the
-// always-available fallback and the reference the exhaustive tests
-// cross-check against.
+// kernels run that arithmetic 4 lanes at a time (AVX2) on contiguous
+// std::uint64_t spans, with the scalar Fp path as the always-available
+// fallback and the reference the exhaustive tests cross-check against.
 //
-// Dispatch invariance: every kernel returns bit-identical results at every
-// dispatch level. Reductions are exact (the vector Barrett sequence computes
+// Dispatch invariance: every kernel returns bit-identical results at both
+// dispatch levels. Reductions are exact (the vector Barrett sequence computes
 // the same x mod p the scalar sequence does), and products over F_p are
 // associative and commutative, so regrouping a product across lanes cannot
-// change its value. The phi-product accumulator chains additionally run in
-// Montgomery form for odd p < 2^31 (three 32x32 multiplies per step instead
-// of a full Barrett mulmod); the stray 2^{-32} factor each step introduces
-// is cancelled exactly by one scalar multiplication with 2^{32K} mod p at
-// the end, so the returned value is still the plain product. That invariance
-// is what keeps the golden-transcript digests
-// (tests/test_golden_transcript.cpp) byte-identical across hosts and forced
-// LRDIP_SIMD levels.
+// change its value. The AVX2 phi-product accumulator chains additionally run
+// in Montgomery form for odd p < 2^31 (three 32x32 multiplies per step
+// instead of a full Barrett mulmod); the stray 2^{-32} factor each step
+// introduces is cancelled exactly by one scalar multiplication with
+// 2^{32K} mod p at the end, so the returned value is still the plain product.
+// Every registry modulus passes that gate; p = 2 and p >= 2^31 take the
+// scalar reference. That invariance is what keeps the golden-transcript
+// digests (tests/test_golden_transcript.cpp) byte-identical across hosts and
+// forced LRDIP_SIMD levels.
 //
-// All vector paths require p < 2^32 — guaranteed since Fp enforces it at
+// The vector path requires p < 2^32 — guaranteed since Fp enforces it at
 // construction — so reduced operands multiply exactly inside 64 bits and the
 // Barrett constant m = floor(2^64 / p) drives a divide-free reduce.
 #pragma once
@@ -34,24 +34,17 @@
 
 namespace lrdip::fp_simd {
 
-/// Lanes the active dispatch level processes per step (1, 4 or 8). Benchmarks
-/// record this next to their throughput numbers.
+/// Lanes the active dispatch level processes per step (1 or 4; see
+/// simd_lanes). Benchmarks record this next to their throughput numbers.
 int active_lanes();
 
-/// Name of the active dispatch level ("scalar" | "avx2" | "avx512").
+/// Name of the active dispatch level ("scalar" | "avx2").
 const char* active_level_name();
-
-/// In place x[i] <- x[i] mod p, for arbitrary 64-bit inputs.
-void reduce_span(const Fp& f, std::span<std::uint64_t> x);
 
 /// In place x[i] <- x[i] mod bound, for any bound >= 1 (plain Barrett on the
 /// raw modulus — no primality needed). The batched coin expansion uses this
 /// to turn raw rejection-sampled words into uniform draws.
 void mod_span(std::uint64_t bound, std::span<std::uint64_t> x);
-
-/// Pointwise out[i] = a[i] * b[i] mod p. Operands must already be reduced.
-void mul_span(const Fp& f, std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-              std::span<std::uint64_t> out);
 
 /// phi_S(x) = prod_{s in S}(s - x) mod p; elements reduced mod p before use.
 /// Value-identical to Fp::multiset_poly at every dispatch level.

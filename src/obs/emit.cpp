@@ -47,8 +47,7 @@ std::string run_to_json(const RunMetrics& run, int indent) {
   os << in1 << "\"max_coin_bits\": " << run.max_coin_bits << ",\n";
   os << in1 << "\"rejected_nodes\": " << run.rejected_nodes << ",\n";
   os << in1 << "\"arith\": {\"simd_level\": \"" << esc(run.simd_level)
-     << "\", \"simd_lanes\": " << run.simd_lanes
-     << ", \"barrett_enabled\": " << (run.barrett_enabled ? "true" : "false") << "},\n";
+     << "\", \"simd_lanes\": " << run.simd_lanes << "},\n";
   os << in1 << "\"reject_reasons\": {";
   for (int i = 0; i < 5; ++i) {
     os << (i ? ", " : "") << "\"" << kReasonNames[i] << "\": " << run.reject_reasons[i];

@@ -72,18 +72,10 @@ bool MetricsRegistry::begin_run(std::string task, int n, int m) {
   active_.task = std::move(task);
   active_.n = n;
   active_.m = m;
-  active_.simd_level = simd_level_name(simd_active_level());
-  switch (simd_active_level()) {
-    case SimdLevel::avx512:
-      active_.simd_lanes = 8;
-      break;
-    case SimdLevel::avx2:
-      active_.simd_lanes = 4;
-      break;
-    case SimdLevel::scalar:
-      active_.simd_lanes = 1;
-      break;
-  }
+  // One read, so a concurrent set_simd_level cannot stamp a mismatched pair.
+  const SimdLevel level = simd_active_level();
+  active_.simd_level = simd_level_name(level);
+  active_.simd_lanes = simd_lanes(level);
   return true;
 }
 
@@ -167,12 +159,6 @@ void MetricsRegistry::record_parallel(std::int64_t wall_ns,
   p.wall_ns += wall_ns;
   if (p.thread_busy_ns.size() < busy_ns.size()) p.thread_busy_ns.resize(busy_ns.size(), 0);
   for (std::size_t i = 0; i < busy_ns.size(); ++i) p.thread_busy_ns[i] += busy_ns[i];
-}
-
-void MetricsRegistry::record_barrett(bool enabled) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (!run_active_) return;
-  active_.barrett_enabled = enabled;
 }
 
 void MetricsRegistry::record_outcome(bool accepted, int rounds, int proof_size_bits,

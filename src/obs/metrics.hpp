@@ -10,10 +10,9 @@
 // Overhead policy: metering is OFF by default and every hot-path hook is an
 // inline relaxed atomic load plus a predictable branch — nothing else happens
 // on the disabled path, so protocol throughput with metrics disabled is
-// indistinguishable from a build without the layer (the CI throughput gate
-// holds BM_LrSorting/131072 within 2% of the committed baseline). When
-// enabled, hooks take a registry mutex; observability runs trade a few
-// percent of wall time for the numbers.
+// indistinguishable from a build without the layer. When enabled, hooks take
+// a registry mutex; observability runs trade a few percent of wall time for
+// the numbers.
 //
 // Scoping model: a RunScope brackets one protocol execution. run_* entry
 // points open one (nested run_* calls attach to the already-open run, so a
@@ -108,12 +107,10 @@ struct RunMetrics {
   int rejected_nodes = 0;
   std::array<std::int64_t, 5> reject_reasons{};  // indexed by RejectReason
 
-  // Arithmetic backend: the SIMD dispatch level active for this run (stamped
-  // at begin_run from support/cpu.hpp) and whether the field layer attested
-  // that reduce/mul ran divide-free Barrett (stamped by finalize()).
+  // Arithmetic backend: the SIMD dispatch level active for this run and its
+  // lane count, stamped together at begin_run from support/cpu.hpp.
   std::string simd_level;
   int simd_lanes = 1;
-  bool barrett_enabled = false;
 
   // Engine.
   ParallelStats parallel;
@@ -167,9 +164,6 @@ class MetricsRegistry {
   void record_outcome(bool accepted, int rounds, int proof_size_bits,
                       std::int64_t total_label_bits, int max_coin_bits, int rejected_nodes,
                       std::span<const std::int64_t> reason_hist);
-  /// Field-layer attestation that the run's reduce/mul were divide-free
-  /// (obs cannot see the field library, so the caller reports it).
-  void record_barrett(bool enabled);
 
  private:
   MetricsRegistry() = default;

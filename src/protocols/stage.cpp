@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "field/fp.hpp"
 #include "obs/metrics.hpp"
 #include "support/check.hpp"
 
@@ -68,7 +67,6 @@ Outcome finalize(const StageResult& s) {
     obs::MetricsRegistry::instance().record_outcome(o.accepted, o.rounds, o.proof_size_bits,
                                                     o.total_label_bits, o.max_coin_bits,
                                                     o.rejected_nodes, hist);
-    obs::MetricsRegistry::instance().record_barrett(Fp::barrett_always_enabled());
   }
   return o;
 }

@@ -9,16 +9,8 @@ namespace {
 
 #if defined(__x86_64__) || defined(__i386__)
 SimdLevel detect_host_level() {
-  // __builtin_cpu_supports self-initializes on gcc and clang. The AVX-512
-  // path needs F (foundation) and DQ (vpmullq); VL is implied for the
-  // 512-bit-register-only kernels but checked anyway so a future 256-bit
-  // masked variant stays safe.
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
-      __builtin_cpu_supports("avx512vl")) {
-    return SimdLevel::avx512;
-  }
-  if (__builtin_cpu_supports("avx2")) return SimdLevel::avx2;
-  return SimdLevel::scalar;
+  // __builtin_cpu_supports self-initializes on gcc and clang.
+  return __builtin_cpu_supports("avx2") ? SimdLevel::avx2 : SimdLevel::scalar;
 }
 #else
 SimdLevel detect_host_level() { return SimdLevel::scalar; }
@@ -48,16 +40,23 @@ const char* simd_level_name(SimdLevel level) {
       return "scalar";
     case SimdLevel::avx2:
       return "avx2";
-    case SimdLevel::avx512:
-      return "avx512";
   }
   return "?";
+}
+
+int simd_lanes(SimdLevel level) {
+  switch (level) {
+    case SimdLevel::scalar:
+      return 1;
+    case SimdLevel::avx2:
+      return 4;
+  }
+  return 1;
 }
 
 std::optional<SimdLevel> parse_simd_level(std::string_view name) {
   if (name == "scalar") return SimdLevel::scalar;
   if (name == "avx2") return SimdLevel::avx2;
-  if (name == "avx512") return SimdLevel::avx512;
   return std::nullopt;
 }
 

@@ -1,16 +1,16 @@
 // Runtime CPU dispatch for the SIMD field kernels.
 //
-// The batched Barrett kernels in src/field/fp_simd.hpp ship three code paths
-// — scalar, AVX2 (4 lanes) and AVX-512 (8 lanes) — selected once per process
-// from CPUID. All three compute bit-identical results (modular products are
-// associative and commutative, so lane grouping is unobservable), which is
-// what lets the golden-transcript digests stay pinned across hosts.
+// The batched Barrett kernels in src/field/fp_simd.hpp ship two code paths —
+// scalar and AVX2 (4 lanes) — selected once per process from CPUID. Both
+// compute bit-identical results (modular products are associative and
+// commutative, so lane grouping is unobservable), which is what lets the
+// golden-transcript digests stay pinned across hosts.
 //
 // Override order: set_simd_level() (tests/benchmarks) beats the LRDIP_SIMD
-// environment variable ("scalar" | "avx2" | "avx512"), which beats CPUID.
-// Overrides are clamped to what the host actually supports — forcing avx512
-// on an AVX2-only machine silently runs the AVX2 path, and forcing anything
-// on a non-x86 host runs scalar — so a forced level is always safe to set.
+// environment variable ("scalar" | "avx2"; any other value means no
+// override), which beats CPUID. Overrides are clamped to what the host
+// actually supports — forcing avx2 on a machine without it, or on a non-x86
+// host, runs scalar — so a forced level is always safe to set.
 #pragma once
 
 #include <optional>
@@ -20,10 +20,13 @@ namespace lrdip {
 
 /// Widest vector path the field kernels may take. Order is meaningful:
 /// higher levels strictly extend lower ones, so clamping is min().
-enum class SimdLevel : int { scalar = 0, avx2 = 1, avx512 = 2 };
+enum class SimdLevel : int { scalar = 0, avx2 = 1 };
 
 /// Stable lowercase name, matching the LRDIP_SIMD spelling.
 const char* simd_level_name(SimdLevel level);
+
+/// 64-bit lanes the field kernels process per step at `level` (1 or 4).
+int simd_lanes(SimdLevel level);
 
 /// Parses an LRDIP_SIMD value; nullopt for unknown or empty spellings
 /// (empty means "no override", not "scalar").

@@ -89,7 +89,6 @@ TEST(Fp, BarrettMatchesNaiveReductionExhaustively) {
   for (std::uint64_t p : {2ULL, 3ULL, 5ULL, 7ULL, 11ULL, 13ULL, 17ULL, 31ULL, 61ULL, 127ULL,
                           251ULL, 257ULL}) {
     Fp f(p);
-    ASSERT_TRUE(f.barrett_enabled());
     for (std::uint64_t a = 0; a < p; ++a) {
       for (std::uint64_t b = 0; b < p; ++b) {
         ASSERT_EQ(f.mul(a, b), a * b % p) << "p=" << p << " a=" << a << " b=" << b;
@@ -105,7 +104,6 @@ TEST(Fp, BarrettReduceMatchesNaiveOnFullRange) {
   for (std::uint64_t p :
        {2ULL, 3ULL, 97ULL, 7919ULL, 65521ULL, 16777213ULL, 4294967291ULL /* largest p < 2^32 */}) {
     Fp f(p);
-    ASSERT_TRUE(f.barrett_enabled());
     for (std::uint64_t x : {std::uint64_t{0}, std::uint64_t{1}, p - 1, p, p + 1, 2 * p,
                             ~std::uint64_t{0}, ~std::uint64_t{0} - 1, std::uint64_t{1} << 63}) {
       ASSERT_EQ(f.reduce(x), x % p) << "p=" << p << " x=" << x;

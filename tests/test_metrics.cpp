@@ -4,12 +4,16 @@
 // engine's thread count (timing varies; bits do not).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dip/parallel.hpp"
 #include "dip/store.hpp"
+#include "field/fp_simd.hpp"
 #include "gen/generators.hpp"
 #include "obs/emit.hpp"
 #include "obs/metrics.hpp"
 #include "protocols/lr_sorting.hpp"
+#include "support/cpu.hpp"
 #include "support/rng.hpp"
 
 namespace lrdip {
@@ -25,6 +29,7 @@ class MetricsTest : public ::testing::Test {
     obs::MetricsRegistry::instance().set_enabled(false);
     obs::MetricsRegistry::instance().reset();
     set_parallel_threads(0);
+    set_simd_level(std::nullopt);
   }
 };
 
@@ -235,6 +240,29 @@ TEST_F(MetricsTest, JsonAndCsvEmission) {
 
   std::ostringstream bad;
   EXPECT_THROW(obs::emit_runs(bad, runs, "xml"), InvariantError);
+}
+
+TEST_F(MetricsTest, ArithStampMatchesTheActiveDispatchLevel) {
+  Rng gen_rng(7);
+  const LrInstance gi = random_lr_yes(128, 1.0, gen_rng);
+  LrSortingInstance inst;
+  inst.graph = &gi.graph;
+  inst.order = gi.order;
+  inst.tail = lr_claimed_tails(gi);
+  // Forcing a level the host lacks clamps it, so compare against what the
+  // kernels report as active rather than against the forced level.
+  for (SimdLevel level : {SimdLevel::scalar, SimdLevel::avx2}) {
+    set_simd_level(level);
+    const obs::RunMetrics r = metered_lr_run(inst, 1);
+    const std::string name = fp_simd::active_level_name();
+    const int lanes = fp_simd::active_lanes();
+    EXPECT_EQ(r.simd_level, name) << simd_level_name(level);
+    EXPECT_EQ(r.simd_lanes, lanes) << simd_level_name(level);
+    // The arith object carries exactly these two keys.
+    const std::string arith = "\"arith\": {\"simd_level\": \"" + name + "\", \"simd_lanes\": " +
+                              std::to_string(lanes) + "},";
+    EXPECT_NE(obs::run_to_json(r).find(arith), std::string::npos) << simd_level_name(level);
+  }
 }
 
 }  // namespace
