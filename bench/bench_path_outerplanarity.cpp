@@ -2,6 +2,7 @@
 #include <iostream>
 
 #include "bench_util.hpp"
+#include "protocols/baseline_pls.hpp"
 #include "protocols/path_outerplanarity.hpp"
 
 using namespace lrdip;
@@ -21,7 +22,7 @@ int main() {
     const auto gi = random_path_outerplanar(n, 1.0, rng);
     const PathOuterplanarityInstance inst{&gi.graph, gi.order};
     const Outcome o = run_path_outerplanarity(inst, {3}, rng);
-    const Outcome base = run_path_outerplanarity_baseline_pls(inst);
+    const Outcome base = run_path_outerplanarity_pls(gi.graph, inst.prover_order);
 
     int cross_rej = 0, spider_rej = 0;
     for (int s = 0; s < trials; ++s) {

@@ -35,7 +35,7 @@ std::vector<Outcome> Runtime::run_batch(std::span<const BatchItem> items) const 
   std::vector<std::size_t> small;
   std::vector<std::size_t> large;
   for (std::size_t i = 0; i < items.size(); ++i) {
-    (items[i].inst.graph().n() < cfg_.small_instance_threshold ? small : large).push_back(i);
+    (items[i].inst.graph().n() < kSmallInstanceThreshold ? small : large).push_back(i);
   }
   // Across-instance axis: one whole execution per worker (grain 1). The
   // engine inlines nested parallel regions on workers, so each execution is

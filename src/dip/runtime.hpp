@@ -12,7 +12,7 @@
 // run_batch executes a span of (instance, seed) items and picks the
 // parallelism AXIS per item, never nesting blindly:
 //
-//   * small instances (n < Config::small_instance_threshold) run ACROSS the
+//   * small instances (n < kSmallInstanceThreshold) run ACROSS the
 //     batch — one whole execution per worker. Inside a worker the engine's
 //     nested-region rule makes every inner parallel_for run inline, so each
 //     execution is byte-identical to a single-threaded run of itself;
@@ -60,14 +60,16 @@ struct BatchItem {
 /// batch; attach per-item adversaries afterwards.
 std::vector<BatchItem> replicate_item(const Instance& inst, std::uint64_t seed0, int k);
 
+/// run_batch's axis choice: instances below this node count parallelize
+/// across the batch; at or above it, within the instance. Roughly where one
+/// execution's per-node loops start winning over cross-instance spread on a
+/// default pool.
+inline constexpr int kSmallInstanceThreshold = 2048;
+
 class Runtime {
  public:
   struct Config {
     RunOptions options;
-    /// Instances below this node count parallelize across the batch; at or
-    /// above it, within the instance. Roughly where one execution's per-node
-    /// loops start winning over cross-instance spread on a default pool.
-    int small_instance_threshold = 2048;
   };
 
   Runtime() : Runtime(Config{}) {}

@@ -567,7 +567,6 @@ StageResult log_star_planarity_stage(const LogStarPlanarityInstance& inst,
     }
     return true;
   });
-  out.node_accepts = accepts_from_reasons(out.node_reasons);
 
   // ---- Accounting (analytic: what the honest prover sent).
   out.node_bits.assign(static_cast<std::size_t>(n), 0);
@@ -587,12 +586,6 @@ StageResult log_star_planarity_stage(const LogStarPlanarityInstance& inst,
 Outcome run_log_star_planarity(const LogStarPlanarityInstance& inst, const LogStarParams& params,
                                Rng& rng, FaultInjector* faults) {
   return run_protocol(make_instance(inst), {params.c}, rng, faults);
-}
-
-Outcome run_log_star_planarity_baseline_pls(const LogStarPlanarityInstance& inst) {
-  const obs::RunScope run("log-star-planarity-baseline-pls", inst.graph->n(), inst.graph->m());
-  const LrSortingInstance lr = as_lr_sorting(inst);
-  return finalize(lr_trivial_position_stage(lr, nullptr));
 }
 
 }  // namespace lrdip

@@ -114,8 +114,4 @@ StageResult log_star_planarity_stage(const LogStarPlanarityInstance& inst,
 Outcome run_log_star_planarity(const LogStarPlanarityInstance& inst, const LogStarParams& params,
                                Rng& rng, FaultInjector* faults = nullptr);
 
-/// Baseline: the shared trivial one-round position-labeling scheme
-/// (Theta(log n) bits) — the separation comparison point.
-Outcome run_log_star_planarity_baseline_pls(const LogStarPlanarityInstance& inst);
-
 }  // namespace lrdip

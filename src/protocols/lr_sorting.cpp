@@ -115,7 +115,6 @@ StageResult lr_trivial_position_stage(const LrSortingInstance& inst, FaultInject
     if (pl.right[v] != -1) verdict.require(pos_d[v] + 1 == pos_d[pl.right[v]]);
     return true;
   });
-  out.node_accepts = accepts_from_reasons(out.node_reasons);
   // The decision reduces to the direct comparison per non-path edge.
   for (EdgeId e = 0; e < g.m(); ++e) {
     if (pl.is_path_edge[e]) continue;
@@ -768,7 +767,6 @@ StageResult lr_sorting_stage(const LrSortingInstance& inst, const LrParams& para
     }
     return true;
   });
-  out.node_accepts = accepts_from_reasons(out.node_reasons);
 
   // ---- Accounting (analytic: what the honest prover sent).
   out.node_bits.assign(n, 0);

@@ -13,6 +13,9 @@
 // Checks: z consistent with the parent's copy (root: with its own draw); the
 // product recurrences; at the root A1 == A2. Perfect completeness; soundness
 // error k/p <= 1/k^c by polynomial identity testing.
+//
+// The transcript lives in a LabelStore/CoinStore pair and each node decides
+// through its NodeView, as in protocols/spanning_tree.hpp.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +28,17 @@
 
 namespace lrdip {
 
+class FaultInjector;
+
+/// Label/field layout of the transcript (exposed for tests).
+struct MeLayout {
+  static constexpr int kRoundCoins = 0;     // verifier: z at the root
+  static constexpr int kRoundResponse = 1;  // prover: z echo + A1 + A2
+  static constexpr std::size_t kFieldZ = 0;
+  static constexpr std::size_t kFieldA1 = 1;
+  static constexpr std::size_t kFieldA2 = 2;
+};
+
 struct MultisetEqualityInput {
   std::vector<std::vector<std::uint64_t>> s1;  // per node
   std::vector<std::vector<std::uint64_t>> s2;  // per node
@@ -32,16 +46,12 @@ struct MultisetEqualityInput {
   int universe_exponent = 2;                   // c: elements < k^c
 };
 
-/// Optional adversary: offsets added by a cheating prover to the aggregate
-/// labels of chosen nodes (the honest prover uses all-zero offsets).
-struct MultisetCheat {
-  std::vector<std::uint64_t> a1_offset;  // per node, added mod p
-  std::vector<std::uint64_t> a2_offset;
-};
-
+/// Runs the protocol over `tree`, a rooted spanning tree of g. `faults`, when
+/// non-null, corrupts the recorded transcript between prover and verifier;
+/// the decision then rejects locally, it never throws.
 StageResult verify_multiset_equality(const Graph& g, const RootedForest& tree,
                                      const MultisetEqualityInput& in, Rng& rng,
-                                     const MultisetCheat* cheat = nullptr);
+                                     FaultInjector* faults = nullptr);
 
 /// The field the protocol would use for a given size bound (exposed for tests
 /// and for callers that embed the same PIT logic).

@@ -299,7 +299,6 @@ StageResult nesting_stage_with_fragments(const Graph& g, const std::vector<NodeI
     if (i == n - 1 && !above_r_d[v].bottom) ok = false;
     return ok;
   });
-  out.node_accepts = accepts_from_reasons(out.node_reasons);
 
   // --- Accounting.
   const int name_bits = 2 * ls;      // echo of (s_u, s_v)

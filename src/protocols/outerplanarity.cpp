@@ -13,7 +13,6 @@
 #include "protocols/registry.hpp"
 #include "protocols/spanning_tree.hpp"
 #include "obs/metrics.hpp"
-#include "support/bits.hpp"
 #include "support/check.hpp"
 
 namespace lrdip {
@@ -79,7 +78,6 @@ StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const OpPar
   // Labels: every node carries (sep, lead) of its home block; checks relay
   // them along P'_C and across all incident edges.
   StageResult stage1;
-  stage1.node_accepts.assign(n, 1);
   stage1.node_bits.assign(n, 2 * (ls + 1) + 2 + 4);  // sep/lead (+bottom), flags, d(C) mod 3
   stage1.coin_bits.assign(n, 0);
   stage1.rounds = 3;
@@ -166,7 +164,6 @@ StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const OpPar
       }
       return true;
     });
-    stage1.node_accepts = accepts_from_reasons(stage1.node_reasons);
     // Leaders check the separating fragment across the closing edge e_C.
     for (int b = 0; b < nblocks; ++b) {
       const NodeId lead = leader_of[b];
@@ -198,10 +195,8 @@ StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const OpPar
       parent = bfs_tree(g, 0).parent;
     }
     const ForestEncoding enc = encode_forest(g, parent);
-    StageResult commit;
-    commit.node_accepts.assign(n, 1);
+    StageResult commit = empty_stage(n);
     commit.node_bits.assign(n, enc.bits_per_node());
-    commit.coin_bits.assign(n, 0);
     commit.rounds = 1;
     result = compose_parallel(result, commit);
     result = compose_parallel(result, verify_spanning_tree(g, parent, reps, rng, faults));
@@ -234,7 +229,7 @@ StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const OpPar
     const NodeId sep = bct.separating_node[b];
     for (NodeId w = 0; w < sub.graph.n(); ++w) {
       const NodeId host = sub.node_to_orig[w];
-      if (!sr.node_accepts[w]) {
+      if (!sr.accepts(w)) {
         for (NodeId x : nodes) result.reject(x, sr.reason(w));
       }
       if (host == sep) {
@@ -280,17 +275,6 @@ Outcome run_biconnected_outerplanarity(const Graph& g,
   Outcome o = run_path_outerplanarity(sub, {params.c}, rng, faults);
   // Theorem 6.1's extra condition: the path endpoints close a cycle.
   if (!closing_edge) o.accepted = false;
-  return o;
-}
-
-Outcome run_outerplanarity_baseline_pls(const OuterplanarityInstance& inst) {
-  const Graph& g = *inst.graph;
-  Outcome o;
-  o.rounds = 1;
-  const int bits = 4 * bits_for_values(static_cast<std::uint64_t>(std::max(2, g.n())));
-  o.proof_size_bits = bits;
-  o.total_label_bits = static_cast<std::int64_t>(bits) * g.n();
-  o.accepted = is_outerplanar(g);  // centralized oracle for the PLS decision
   return o;
 }
 

@@ -57,9 +57,6 @@ StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const OpPar
 Outcome run_outerplanarity(const OuterplanarityInstance& inst, const OpParams& params, Rng& rng,
                            FaultInjector* faults = nullptr);
 
-/// Baseline (BFP24): one-round proof labeling scheme with Theta(log n) bits.
-Outcome run_outerplanarity_baseline_pls(const OuterplanarityInstance& inst);
-
 /// Theorem 6.1 standalone: biconnected outerplanarity = path-outerplanarity
 /// w.r.t. a Hamiltonian path whose endpoints are adjacent. `cycle` is the
 /// prover's Hamiltonian-cycle certificate (computed centrally if absent).

@@ -36,14 +36,12 @@
 
 #include "dip/faults.hpp"
 #include "graph/algorithms.hpp"
-#include "graph/outerplanar.hpp"
 #include "protocols/forest_encoding.hpp"
 #include "protocols/lr_sorting.hpp"
 #include "protocols/nesting.hpp"
 #include "protocols/registry.hpp"
 #include "protocols/spanning_tree.hpp"
 #include "obs/metrics.hpp"
-#include "support/bits.hpp"
 #include "support/check.hpp"
 
 namespace lrdip {
@@ -181,7 +179,6 @@ StageResult path_outerplanarity_stage(const PathOuterplanarityInstance& inst,
         verdict.require(decode_forest_children(g, v, code_of).size() <= 1);
         return true;
       });
-  commit.node_accepts = accepts_from_reasons(commit.node_reasons);
   const int reps = po_repetitions(n, params.c);
   StageResult st = verify_spanning_tree(g, decoded_parent, reps, rng, faults);
   StageResult result = compose_parallel(commit, st);
@@ -217,23 +214,6 @@ StageResult path_outerplanarity_stage(const PathOuterplanarityInstance& inst,
 Outcome run_path_outerplanarity(const PathOuterplanarityInstance& inst, const PoParams& params,
                                 Rng& rng, FaultInjector* faults) {
   return run_protocol(make_instance(inst), {params.c}, rng, faults);
-}
-
-Outcome run_path_outerplanarity_baseline_pls(const PathOuterplanarityInstance& inst) {
-  const Graph& g = *inst.graph;
-  const int n = g.n();
-  Outcome o;
-  o.rounds = 1;
-  o.max_coin_bits = 0;
-  // FFM+21: every node gets its position plus the positions of the endpoints
-  // of the first edge drawn above it: 3 * ceil(log n) bits.
-  const int bits = 3 * bits_for_values(static_cast<std::uint64_t>(std::max(2, n)));
-  o.proof_size_bits = bits;
-  o.total_label_bits = static_cast<std::int64_t>(bits) * n;
-  // Decision: the centralized oracle stands in for the (deterministic,
-  // position-based) local checks.
-  o.accepted = inst.prover_order.has_value() && is_properly_nested(g, *inst.prover_order);
-  return o;
 }
 
 }  // namespace lrdip

@@ -60,10 +60,6 @@ StageResult path_outerplanarity_stage(const PathOuterplanarityInstance& inst,
 Outcome run_path_outerplanarity(const PathOuterplanarityInstance& inst, const PoParams& params,
                                 Rng& rng, FaultInjector* faults = nullptr);
 
-/// Baseline (FFM+21-style): one-round proof labeling scheme with Theta(log n)
-/// bits — positions of the path plus positions of the covering edge per node.
-Outcome run_path_outerplanarity_baseline_pls(const PathOuterplanarityInstance& inst);
-
 /// The amplification the protocol uses for its sub-proofs, exposed for the
 /// benchmark tables: Theta(c * log log n).
 int po_repetitions(int n, int c);

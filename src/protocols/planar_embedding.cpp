@@ -227,10 +227,8 @@ StageResult planar_embedding_stage(const PlanarEmbeddingInstance& inst, const Pe
   // --- Commit to a spanning tree T of G and verify it (Lemmas 2.3 + 2.5).
   const RootedForest tree = bfs_tree(g, 0);
   const ForestEncoding enc = encode_forest(g, tree.parent);
-  StageResult result;
-  result.node_accepts.assign(n, 1);
+  StageResult result = empty_stage(n);
   result.node_bits.assign(n, enc.bits_per_node());
-  result.coin_bits.assign(n, 0);
   result.rounds = 1;
   result = compose_parallel(result, verify_spanning_tree(g, tree.parent,
                                                          po_repetitions(n, params.c), rng, faults));
@@ -271,8 +269,8 @@ StageResult planar_embedding_stage(const PlanarEmbeddingInstance& inst, const Pe
     for (NodeId c : dup) {
       result.node_bits[v] += sr.node_bits[c];
     }
-    if (!sr.node_accepts[x0]) result.reject(v, sr.reason(x0));
-    if (!sr.node_accepts[xk]) result.reject(v, sr.reason(xk));
+    if (!sr.accepts(x0)) result.reject(v, sr.reason(x0));
+    if (!sr.accepts(xk)) result.reject(v, sr.reason(xk));
   }
   for (int c = 0; c < exp.h.n(); ++c) {
     const NodeId owner = exp.copy_owner[c];
@@ -282,7 +280,7 @@ StageResult planar_embedding_stage(const PlanarEmbeddingInstance& inst, const Pe
     const NodeId carrier = exp.copy_owner[exp.path[path_pos[c] - 1]];
     result.node_bits[carrier] += sr.node_bits[c];
     result.coin_bits[carrier] += sr.coin_bits[c];
-    if (!sr.node_accepts[c]) result.reject(carrier, sr.reason(c));
+    if (!sr.accepts(c)) result.reject(carrier, sr.reason(c));
   }
   for (NodeId v = 0; v < n; ++v) {
     // x_0(v)'s coins are v's own.
@@ -319,10 +317,7 @@ StageResult planarity_stage(const PlanarityInstance& inst, const PeParams& param
   int max_deg = 1;
   for (NodeId v = 0; v < g.n(); ++v) max_deg = std::max(max_deg, g.degree(v));
   const int rot_bits = 2 * bits_for_values(static_cast<std::uint64_t>(max_deg));
-  StageResult ship;
-  ship.node_accepts.assign(g.n(), 1);
-  ship.node_bits.assign(g.n(), 0);
-  ship.coin_bits.assign(g.n(), 0);
+  StageResult ship = empty_stage(g.n());
   ship.rounds = 1;
   {
     const auto [ord, d] = degeneracy_order(g);
@@ -343,19 +338,6 @@ StageResult planarity_stage(const PlanarityInstance& inst, const PeParams& param
 Outcome run_planarity(const PlanarityInstance& inst, const PeParams& params, Rng& rng,
                       FaultInjector* faults) {
   return run_protocol(make_instance(inst), {params.c}, rng, faults);
-}
-
-Outcome run_planarity_baseline_pls(const PlanarityInstance& inst) {
-  const Graph& g = *inst.graph;
-  Outcome o;
-  o.rounds = 1;
-  const int bits = 6 * bits_for_values(static_cast<std::uint64_t>(std::max(2, g.n())));
-  o.proof_size_bits = bits;
-  o.total_label_bits = static_cast<std::int64_t>(bits) * g.n();
-  o.accepted = (inst.certificate != nullptr)
-                   ? is_planar_embedding(g, *inst.certificate)
-                   : is_planar(g);
-  return o;
 }
 
 }  // namespace lrdip

@@ -94,7 +94,4 @@ StageResult planarity_stage(const PlanarityInstance& inst, const PeParams& param
 Outcome run_planarity(const PlanarityInstance& inst, const PeParams& params, Rng& rng,
                       FaultInjector* faults = nullptr);
 
-/// Baseline (FFM+21): one-round proof labeling scheme with Theta(log n) bits.
-Outcome run_planarity_baseline_pls(const PlanarityInstance& inst);
-
 }  // namespace lrdip

@@ -6,6 +6,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/degeneracy.hpp"
 #include "obs/metrics.hpp"
+#include "protocols/baseline_pls.hpp"
 #include "support/bits.hpp"
 #include "support/check.hpp"
 
@@ -68,27 +69,21 @@ Outcome run_ls(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector
 }
 
 // ------------------------------------------------------------ PLS baselines
+//
+// Only executable schemes (real labels, local checks) sit here; a task
+// without one has run_pls == nullptr and keeps its textbook width below.
 
 Outcome pls_lr(const Instance& i) {
   return run_lr_sorting_baseline_pls(*std::get<const LrSortingInstance*>(i.ref));
 }
 Outcome pls_po(const Instance& i) {
-  return run_path_outerplanarity_baseline_pls(*std::get<const PathOuterplanarityInstance*>(i.ref));
-}
-Outcome pls_op(const Instance& i) {
-  return run_outerplanarity_baseline_pls(*std::get<const OuterplanarityInstance*>(i.ref));
-}
-Outcome pls_pl(const Instance& i) {
-  return run_planarity_baseline_pls(*std::get<const PlanarityInstance*>(i.ref));
-}
-Outcome pls_sp(const Instance& i) {
-  return run_series_parallel_baseline_pls(*std::get<const SeriesParallelInstance*>(i.ref));
-}
-Outcome pls_tw(const Instance& i) {
-  return run_treewidth2_baseline_pls(*std::get<const Treewidth2Instance*>(i.ref));
+  const PathOuterplanarityInstance& inst = *std::get<const PathOuterplanarityInstance*>(i.ref);
+  return run_path_outerplanarity_pls(*inst.graph, inst.prover_order);
 }
 Outcome pls_ls(const Instance& i) {
-  return run_log_star_planarity_baseline_pls(*std::get<const LogStarPlanarityInstance*>(i.ref));
+  // The log-star task shares LR-sorting's family and its one-round scheme.
+  return run_lr_sorting_baseline_pls(
+      as_lr_sorting(*std::get<const LogStarPlanarityInstance*>(i.ref)));
 }
 
 // Textbook one-round PLS label widths (the E-SEP comparison column).
@@ -409,15 +404,15 @@ constexpr std::array<ProtocolSpec, kNumTasks> kRegistry{{
      run_lr, pls_lr, bits_lr, bind_lr, yes_lr, near_no_lr},
     {Task::path_outerplanar, "path-outerplanar", "Thm 1.2", 0, kCertOrder, run_po, pls_po,
      bits_po, bind_po, yes_po, near_no_po},
-    {Task::outerplanar, "outerplanar", "Thm 1.3", 0, 0, run_op, pls_op, bits_op, bind_op,
+    {Task::outerplanar, "outerplanar", "Thm 1.3", 0, 0, run_op, nullptr, bits_op, bind_op,
      yes_op, near_no_op},
     {Task::embedding, "embedding", "Thm 1.4", kCertRotation, kCertRotation, run_pe, nullptr,
      bits_pe, bind_pe, yes_pe, near_no_pe},
-    {Task::planarity, "planarity", "Thm 1.5", 0, kCertRotation, run_pl, pls_pl, bits_pl,
+    {Task::planarity, "planarity", "Thm 1.5", 0, kCertRotation, run_pl, nullptr, bits_pl,
      bind_pl, yes_pl, near_no_pl},
-    {Task::series_parallel, "series-parallel", "Thm 1.6", 0, 0, run_sp, pls_sp, bits_sp,
+    {Task::series_parallel, "series-parallel", "Thm 1.6", 0, 0, run_sp, nullptr, bits_sp,
      bind_sp, yes_sp, near_no_sp},
-    {Task::treewidth2, "treewidth2", "Thm 1.7", 0, 0, run_tw, pls_tw, bits_tw, bind_tw,
+    {Task::treewidth2, "treewidth2", "Thm 1.7", 0, 0, run_tw, nullptr, bits_tw, bind_tw,
      yes_tw, near_no_tw},
     {Task::log_star_planarity, "log-star-planarity", "GP25b Thm 1.1",
      kCertOrder | kCertTails, kCertOrder | kCertTails, run_ls, pls_ls, bits_ls, bind_ls,

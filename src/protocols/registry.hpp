@@ -130,8 +130,8 @@ struct ProtocolSpec {
   unsigned uses_certs;
   /// The 5-round interactive protocol (RunScope + stage + finalize).
   Outcome (*run)(const Instance&, const RunOptions&, Rng&, FaultInjector*);
-  /// Executable one-round PLS baseline; null when the repo has none
-  /// (embedding — its separation row uses the textbook width below).
+  /// Executable one-round PLS baseline (real labels, local checks); null
+  /// when the repo has none — those rows use the textbook width below.
   Outcome (*run_pls)(const Instance&);
   /// Textbook one-round PLS label width at size n (the E-SEP column).
   int (*pls_bits)(int n);

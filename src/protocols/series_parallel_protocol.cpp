@@ -13,7 +13,6 @@
 #include "protocols/registry.hpp"
 #include "protocols/spanning_tree.hpp"
 #include "obs/metrics.hpp"
-#include "support/bits.hpp"
 #include "support/check.hpp"
 
 namespace lrdip {
@@ -69,7 +68,6 @@ std::optional<EarDecomposition> committed_ears(const Graph& g,
 
 StageResult reject_all(const Graph& g, int bits_estimate) {
   StageResult s;
-  s.node_accepts.assign(g.n(), 0);
   s.node_reasons.assign(g.n(), RejectReason::check_failed);
   s.node_bits.assign(g.n(), bits_estimate);
   s.coin_bits.assign(g.n(), 0);
@@ -113,11 +111,9 @@ StageResult series_parallel_stage(const SeriesParallelInstance& inst,
 
   // ---- Stage (i): every sub-ear is a simple path; chains verified by
   // Lemma 2.5 runs on the induced pieces. Forest codes + flags.
-  StageResult result;
-  result.node_accepts.assign(n, 1);
+  StageResult result = empty_stage(n);
   // forest code (7) + P1 flag (1) + connecting marks (2) + fragments below.
   result.node_bits.assign(n, 7 + 1 + 2);
-  result.coin_bits.assign(n, 0);
   result.rounds = 1;
   for (int j = 0; j < k; ++j) {
     if (subear[j].empty()) continue;
@@ -148,7 +144,7 @@ StageResult series_parallel_stage(const SeriesParallelInstance& inst,
       const NodeId host = sub.node_to_orig[w];
       result.node_bits[host] += st.node_bits[w];
       result.coin_bits[host] += st.coin_bits[w];
-      if (!st.node_accepts[w]) result.reject(host, st.reason(w));
+      if (!st.accepts(w)) result.reject(host, st.reason(w));
     }
   }
 
@@ -233,7 +229,7 @@ StageResult series_parallel_stage(const SeriesParallelInstance& inst,
       }
       result.node_bits[host_node] += sr.node_bits[w];
       result.coin_bits[host_node] += sr.coin_bits[w];
-      if (!sr.node_accepts[w]) result.reject(path[w], sr.reason(w));
+      if (!sr.accepts(w)) result.reject(path[w], sr.reason(w));
     }
     // Arc labels relayed through the attached ears' interiors.
     for (const auto& relay : relays) {
@@ -250,17 +246,6 @@ Outcome run_series_parallel(const SeriesParallelInstance& inst, const SpProtocol
   return run_protocol(make_instance(inst), {params.c}, rng, faults);
 }
 
-Outcome run_series_parallel_baseline_pls(const SeriesParallelInstance& inst) {
-  const Graph& g = *inst.graph;
-  Outcome o;
-  o.rounds = 1;
-  const int bits = 4 * bits_for_values(static_cast<std::uint64_t>(std::max(2, g.n())));
-  o.proof_size_bits = bits;
-  o.total_label_bits = static_cast<std::int64_t>(bits) * g.n();
-  o.accepted = is_series_parallel(g);
-  return o;
-}
-
 StageResult treewidth2_stage(const Treewidth2Instance& inst, const SpProtocolParams& params,
                              Rng& rng, FaultInjector* faults) {
   const obs::ScopedTimer timer("treewidth2_stage");
@@ -273,10 +258,8 @@ StageResult treewidth2_stage(const Treewidth2Instance& inst, const SpProtocolPar
   // plus d(C) mod 3 labels.
   const RootedForest tree = bfs_tree(g, 0);
   const ForestEncoding enc = encode_forest(g, tree.parent);
-  StageResult result;
-  result.node_accepts.assign(n, 1);
+  StageResult result = empty_stage(n);
   result.node_bits.assign(n, enc.bits_per_node() + 4);
-  result.coin_bits.assign(n, 0);
   result.rounds = 1;
   result = compose_parallel(result, verify_spanning_tree(g, tree.parent,
                                                          po_repetitions(n, params.c), rng, faults));
@@ -315,7 +298,7 @@ StageResult treewidth2_stage(const Treewidth2Instance& inst, const SpProtocolPar
       const NodeId host = sub.node_to_orig[w];
       result.node_bits[host] += sr.node_bits[w];
       result.coin_bits[host] += sr.coin_bits[w];
-      if (!sr.node_accepts[w]) result.reject(host, sr.reason(w));
+      if (!sr.accepts(w)) result.reject(host, sr.reason(w));
     }
   }
   result.rounds = std::max(result.rounds, kSeriesParallelRounds);
@@ -325,17 +308,6 @@ StageResult treewidth2_stage(const Treewidth2Instance& inst, const SpProtocolPar
 Outcome run_treewidth2(const Treewidth2Instance& inst, const SpProtocolParams& params, Rng& rng,
                        FaultInjector* faults) {
   return run_protocol(make_instance(inst), {params.c}, rng, faults);
-}
-
-Outcome run_treewidth2_baseline_pls(const Treewidth2Instance& inst) {
-  const Graph& g = *inst.graph;
-  Outcome o;
-  o.rounds = 1;
-  const int bits = 4 * bits_for_values(static_cast<std::uint64_t>(std::max(2, g.n())));
-  o.proof_size_bits = bits;
-  o.total_label_bits = static_cast<std::int64_t>(bits) * g.n();
-  o.accepted = is_treewidth_at_most_2(g);
-  return o;
 }
 
 }  // namespace lrdip

@@ -57,10 +57,6 @@ StageResult series_parallel_stage(const SeriesParallelInstance& inst,
 Outcome run_series_parallel(const SeriesParallelInstance& inst, const SpProtocolParams& params,
                             Rng& rng, FaultInjector* faults = nullptr);
 
-/// Baseline: one-round Theta(log n) PLS (ear decomposition with explicit ids
-/// and positions).
-Outcome run_series_parallel_baseline_pls(const SeriesParallelInstance& inst);
-
 // ------------------------------------------------------------ treewidth <= 2
 
 struct Treewidth2Instance {
@@ -77,7 +73,5 @@ StageResult treewidth2_stage(const Treewidth2Instance& inst, const SpProtocolPar
 
 Outcome run_treewidth2(const Treewidth2Instance& inst, const SpProtocolParams& params, Rng& rng,
                        FaultInjector* faults = nullptr);
-
-Outcome run_treewidth2_baseline_pls(const Treewidth2Instance& inst);
 
 }  // namespace lrdip

@@ -5,15 +5,50 @@
 #include "dip/faults.hpp"
 #include "dip/store.hpp"
 #include "obs/metrics.hpp"
-#include "protocols/spanning_tree_labeled.hpp"
 #include "support/check.hpp"
 
 namespace lrdip {
 
+RejectReason spanning_tree_node_verdict(const NodeView& view, NodeId claimed_parent,
+                                        const std::vector<NodeId>& claimed_children,
+                                        int expected_bits) {
+  using L = StLayout;
+  LocalVerdict verdict;
+  const Label& mine = view.own(L::kRoundResponse);
+  expect_fields(mine, 2, verdict);
+  const std::uint64_t x = read_or_reject(mine, L::kFieldX, expected_bits, verdict);
+  const std::uint64_t echo = read_or_reject(mine, L::kFieldNonceEcho, expected_bits, verdict);
+
+  // X recurrence: X(v) = rho_v XOR (XOR over children's X).
+  std::uint64_t acc = view.read_coin(L::kRoundCoins, 0, verdict);
+  for (NodeId c : claimed_children) {
+    acc ^= view.read_neighbor(L::kRoundResponse, c, L::kFieldX, expected_bits, verdict);
+  }
+  verdict.require(x == acc);
+
+  // Nonce echo: equal across every neighbor; roots additionally match their
+  // own draw.
+  for (const Half& h : view.neighbors()) {
+    verdict.require(
+        view.read_neighbor(L::kRoundResponse, h.to, L::kFieldNonceEcho, expected_bits, verdict) ==
+        echo);
+  }
+  const Label& structure = view.own(L::kRoundStructure);
+  expect_fields(structure, 1, verdict);
+  const bool root_flag = flag_or_reject(structure, L::kFieldRootFlag, verdict);
+  if (claimed_parent == -1) {
+    verdict.require(echo == view.read_coin(L::kRoundCoins, 1, verdict));
+    verdict.require(root_flag);
+  } else {
+    verdict.require(!root_flag);
+  }
+  return verdict.reason();
+}
+
 StageResult verify_spanning_tree(const Graph& g, const std::vector<NodeId>& claimed_parent,
                                  int repetitions, Rng& rng, FaultInjector* faults) {
   const obs::ScopedTimer timer("verify_spanning_tree");
-  using L = StLabeledLayout;
+  using L = StLayout;
   const int n = g.n();
   const int k = repetitions;
   LRDIP_CHECK(k >= 1 && k <= 64);
@@ -28,8 +63,7 @@ StageResult verify_spanning_tree(const Graph& g, const std::vector<NodeId>& clai
 
   // The transcript is recorded in stores so a fault injector can corrupt it
   // in transit; accounting stays analytic (the stores are the wire, not the
-  // cost model). Layout matches the executable spec in
-  // protocols/spanning_tree_labeled.hpp, whose decision function is reused.
+  // cost model): the root flag is charged by the callers' forest code.
   LabelStore labels(g, /*rounds=*/3);
   CoinStore coins(g, /*rounds=*/3);
 
@@ -126,9 +160,9 @@ StageResult verify_spanning_tree(const Graph& g, const std::vector<NodeId>& clai
   // --- Byzantine seam: corrupt the recorded transcript in transit.
   if (faults != nullptr) faults->corrupt(labels, coins);
 
-  // --- Decision: the executable-spec checks (X recurrence, neighbor-equal
-  // nonce echo, root flag/nonce match) over checked reads — any structural
-  // defect is a local reject with a reason, never an exception.
+  // --- Decision: the X recurrence, the neighbor-equal nonce echo and the
+  // root flag/nonce match over checked reads — any structural defect is a
+  // local reject with a reason, never an exception.
   StageResult out;
   out.node_bits.assign(n, 2 * k);  // X value + nonce copy
   out.coin_bits = std::move(coin_bits);
@@ -136,10 +170,9 @@ StageResult verify_spanning_tree(const Graph& g, const std::vector<NodeId>& clai
   out.node_reasons =
       decide_nodes_reasons(n, degree_cost_prefix(g), [&](NodeId v, LocalVerdict& verdict) {
         const NodeView view(labels, coins, v);
-        verdict.reject(st_labeled_node_verdict(view, claimed_parent[v], children[v], k));
+        verdict.reject(spanning_tree_node_verdict(view, claimed_parent[v], children[v], k));
         return true;  // failures recorded in the verdict
       });
-  out.node_accepts = accepts_from_reasons(out.node_reasons);
   return out;
 }
 

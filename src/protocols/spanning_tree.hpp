@@ -22,10 +22,16 @@
 //
 // This realizes the NPY20 interface the paper uses black-box: 3 rounds, O(k)
 // bits, soundness error 2^-Theta(k), perfect completeness.
+//
+// The transcript lives in a LabelStore/CoinStore pair, and each node decides
+// from its NodeView (own coins, own labels, neighbor labels) plus its local
+// input (claimed parent and children): the locality constraints of the KOS18
+// model are enforced by the types, not by discipline.
 #pragma once
 
 #include <vector>
 
+#include "dip/store.hpp"
 #include "graph/graph.hpp"
 #include "protocols/stage.hpp"
 #include "support/rng.hpp"
@@ -33,6 +39,16 @@
 namespace lrdip {
 
 class FaultInjector;
+
+/// Label/field layout of the transcript (exposed for tests).
+struct StLayout {
+  static constexpr int kRoundStructure = 0;  // prover: root flag
+  static constexpr int kRoundCoins = 1;      // verifier: rho (+ nonce at roots)
+  static constexpr int kRoundResponse = 2;   // prover: X value + nonce echo
+  static constexpr std::size_t kFieldRootFlag = 0;
+  static constexpr std::size_t kFieldX = 0;
+  static constexpr std::size_t kFieldNonceEcho = 1;
+};
 
 /// How a dishonest prover fills the response labels on a bad instance (the
 /// structure itself is the lie; the prover can only pick X values and nonce
@@ -48,5 +64,16 @@ enum class StCheat { kBestEffort };
 /// per-node RejectReason instead of throwing.
 StageResult verify_spanning_tree(const Graph& g, const std::vector<NodeId>& claimed_parent,
                                  int repetitions, Rng& rng, FaultInjector* faults = nullptr);
+
+/// Node v's decision over its view: every structural defect of the
+/// transcript at v maps to a reason, semantic failures to check_failed, and
+/// none means accept. `claimed_children` are the claimed-parent-derived lists
+/// (v's local knowledge from the Lemma 2.3 decode); `expected_bits` is the
+/// protocol width k of the response fields (< 0 skips width enforcement).
+/// Reading a non-neighbor still throws (verifier-code misuse, not prover
+/// behavior).
+RejectReason spanning_tree_node_verdict(const NodeView& view, NodeId claimed_parent,
+                                        const std::vector<NodeId>& claimed_children,
+                                        int expected_bits = -1);
 
 }  // namespace lrdip

@@ -7,9 +7,22 @@
 
 namespace lrdip {
 
+namespace {
+
+/// Every per-node vector of a stage has one entry per node. A stage that
+/// forgets to size its verdicts would otherwise accept silently.
+std::size_t checked_size(const StageResult& s) {
+  const std::size_t n = s.node_reasons.size();
+  LRDIP_CHECK_MSG(s.node_bits.size() == n && s.coin_bits.size() == n,
+                  "stage result vectors must have one entry per node");
+  return n;
+}
+
+}  // namespace
+
 StageResult empty_stage(int n) {
   StageResult s;
-  s.node_accepts.assign(n, 1);
+  s.node_reasons.assign(n, RejectReason::none);
   s.node_bits.assign(n, 0);
   s.coin_bits.assign(n, 0);
   s.rounds = 0;
@@ -17,28 +30,23 @@ StageResult empty_stage(int n) {
 }
 
 StageResult compose_parallel(const StageResult& a, const StageResult& b) {
-  LRDIP_CHECK(a.node_accepts.size() == b.node_accepts.size());
+  const std::size_t n = checked_size(a);
+  LRDIP_CHECK(checked_size(b) == n);
   StageResult out;
-  const std::size_t n = a.node_accepts.size();
-  out.node_accepts.resize(n);
+  out.node_reasons.resize(n);
   out.node_bits.resize(n);
   out.coin_bits.resize(n);
-  const bool reasons = !a.node_reasons.empty() || !b.node_reasons.empty();
-  if (reasons) out.node_reasons.assign(n, RejectReason::none);
   for (std::size_t v = 0; v < n; ++v) {
-    out.node_accepts[v] = a.node_accepts[v] && b.node_accepts[v];
+    out.node_reasons[v] = worse_reason(a.node_reasons[v], b.node_reasons[v]);
     out.node_bits[v] = a.node_bits[v] + b.node_bits[v];
     out.coin_bits[v] = a.coin_bits[v] + b.coin_bits[v];
-    if (reasons) {
-      out.node_reasons[v] =
-          worse_reason(a.reason(static_cast<NodeId>(v)), b.reason(static_cast<NodeId>(v)));
-    }
   }
   out.rounds = std::max(a.rounds, b.rounds);
   return out;
 }
 
 Outcome finalize(const StageResult& s) {
+  checked_size(s);
   Outcome o;
   o.accepted = s.all_accept();
   o.rounds = s.rounds;
@@ -50,10 +58,10 @@ Outcome finalize(const StageResult& s) {
   // nodes; ties go to the more structural (higher-severity) defect.
   std::int64_t hist[5] = {0, 0, 0, 0, 0};
   if (!o.accepted) {
-    for (std::size_t v = 0; v < s.node_accepts.size(); ++v) {
-      if (s.node_accepts[v]) continue;
+    for (const RejectReason r : s.node_reasons) {
+      if (r == RejectReason::none) continue;
       ++o.rejected_nodes;
-      ++hist[static_cast<int>(s.reason(static_cast<NodeId>(v)))];
+      ++hist[static_cast<int>(r)];
     }
     int best = static_cast<int>(RejectReason::check_failed);
     for (int r = best + 1; r < 5; ++r) {
@@ -72,32 +80,13 @@ Outcome finalize(const StageResult& s) {
 }
 
 StageResult stage_from_stores(const LabelStore& labels, const CoinStore& coins,
-                              std::vector<char> accepts, int rounds) {
-  StageResult s;
-  s.node_accepts = std::move(accepts);
-  s.node_bits = labels.charged_bits();
-  s.coin_bits = coins.coin_bits();
-  s.rounds = rounds;
-  return s;
-}
-
-StageResult stage_from_stores(const LabelStore& labels, const CoinStore& coins,
                               std::vector<RejectReason> reasons, int rounds) {
   StageResult s;
-  s.node_accepts = accepts_from_reasons(reasons);
   s.node_reasons = std::move(reasons);
   s.node_bits = labels.charged_bits();
   s.coin_bits = coins.coin_bits();
   s.rounds = rounds;
   return s;
-}
-
-std::vector<char> accepts_from_reasons(const std::vector<RejectReason>& reasons) {
-  std::vector<char> accepts(reasons.size(), 1);
-  for (std::size_t v = 0; v < reasons.size(); ++v) {
-    if (reasons[v] != RejectReason::none) accepts[v] = 0;
-  }
-  return accepts;
 }
 
 std::vector<std::int64_t> degree_cost_prefix(const Graph& g) {

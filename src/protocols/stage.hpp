@@ -2,10 +2,10 @@
 //
 // The paper's protocols run several stages "in parallel": in every interaction
 // round each stage contributes fields to the same physical label. We model a
-// stage as an independent execution that reports, per node, whether that
-// node's checks passed and how many label bits the prover charged to it; the
-// composite protocol sums bits per node (concatenated labels), ANDs accepts,
-// and takes the max round count.
+// stage as an independent execution that reports, per node, its verdict (a
+// RejectReason, none meaning accept) and how many label bits the prover
+// charged to it; the composite protocol sums bits per node (concatenated
+// labels), merges verdicts by severity, and takes the max round count.
 #pragma once
 
 #include <exception>
@@ -20,115 +20,60 @@
 namespace lrdip {
 
 struct StageResult {
-  std::vector<char> node_accepts;  // per node of the host graph
-  std::vector<int> node_bits;      // label bits charged per node
-  std::vector<int> coin_bits;      // public-coin bits drawn per node
-  /// Why each node rejected (parallel to node_accepts). May be left empty by
-  /// stages that predate the taxonomy; composition and finalize() then treat
-  /// every rejecting node as check_failed.
+  /// Each node's verdict, per node of the host graph: none means it accepts,
+  /// anything else is why it rejects.
   std::vector<RejectReason> node_reasons;
+  std::vector<int> node_bits;  // label bits charged per node
+  std::vector<int> coin_bits;  // public-coin bits drawn per node
   int rounds = 0;
 
+  bool accepts(NodeId v) const { return reason(v) == RejectReason::none; }
+
   bool all_accept() const {
-    for (char a : node_accepts) {
-      if (!a) return false;
+    for (RejectReason r : node_reasons) {
+      if (r != RejectReason::none) return false;
     }
     return true;
   }
 
   /// Marks node v as rejecting with the given reason (merged by severity).
   void reject(NodeId v, RejectReason r = RejectReason::check_failed) {
-    node_accepts[static_cast<std::size_t>(v)] = 0;
-    if (node_reasons.size() != node_accepts.size()) {
-      node_reasons.resize(node_accepts.size(), RejectReason::none);
-    }
     auto& slot = node_reasons[static_cast<std::size_t>(v)];
     slot = worse_reason(slot, r);
   }
 
-  /// Reason recorded for node v (check_failed when the node rejects but no
-  /// reason was recorded; none when it accepts).
-  RejectReason reason(NodeId v) const {
-    const auto i = static_cast<std::size_t>(v);
-    const RejectReason r = i < node_reasons.size() ? node_reasons[i] : RejectReason::none;
-    if (node_accepts[i]) return RejectReason::none;
-    return r == RejectReason::none ? RejectReason::check_failed : r;
-  }
+  RejectReason reason(NodeId v) const { return node_reasons[static_cast<std::size_t>(v)]; }
 };
 
 /// An all-accept stage with zero cost (identity for composition).
 StageResult empty_stage(int n);
 
 /// Parallel composition: labels concatenate (bits add), a node accepts iff it
-/// accepts in every stage, rounds take the max.
+/// accepts in every stage (its reason is the worse of the two), rounds take
+/// the max.
 StageResult compose_parallel(const StageResult& a, const StageResult& b);
 
 /// Collapses a composed stage into the user-facing Outcome.
 Outcome finalize(const StageResult& s);
 
-/// Extracts a StageResult from a LabelStore/CoinStore pair plus per-node
-/// accept flags (for stages implemented directly on the stores).
-StageResult stage_from_stores(const LabelStore& labels, const CoinStore& coins,
-                              std::vector<char> accepts, int rounds);
-
-/// Same, from a per-node reason vector (hardened stages).
+/// Extracts a StageResult from a LabelStore/CoinStore pair plus the per-node
+/// verdicts (for stages whose accounting is what the stores recorded).
 StageResult stage_from_stores(const LabelStore& labels, const CoinStore& coins,
                               std::vector<RejectReason> reasons, int rounds);
 
-/// Runs the per-node decision predicate for all n nodes on the parallel
-/// executor and collects the accept flags. `decide(v)` must follow the
-/// determinism contract of dip/parallel.hpp: it may read anything written
-/// before this call but only decide node v — the result is then independent
-/// of the thread count.
+/// Runs the per-node decision for all n nodes on the parallel executor and
+/// collects the verdicts. `decide(v, verdict)` performs checked reads
+/// (recording structural defects in `verdict`) and returns whether its
+/// semantic checks passed; a false return records check_failed. It must
+/// follow the determinism contract of dip/parallel.hpp: it may read anything
+/// written before this call but only decide node v — the result is then
+/// independent of the thread count.
 ///
-/// Exception firewall: anything thrown by decide(v) is absorbed as a local
-/// reject for v (never rethrown), so a Byzantine transcript cannot crash the
-/// verifier through the executor's rethrow path. Hardened decision code
-/// should not rely on this — it uses checked reads and records precise
-/// reasons via decide_nodes_reasons — but the firewall guarantees the
-/// never-throw contract even for not-yet-migrated predicates.
-template <typename F>
-std::vector<char> decide_nodes(int n, F&& decide) {
-  std::vector<char> accepts(static_cast<std::size_t>(n), 1);
-  auto fn = std::forward<F>(decide);
-  parallel_for(n, [&](std::int64_t v) {
-    bool ok = false;
-    try {
-      ok = fn(static_cast<NodeId>(v));
-    } catch (...) {
-      ok = false;
-    }
-    if (!ok) accepts[static_cast<std::size_t>(v)] = 0;
-  });
-  return accepts;
-}
-
-/// Degree-aware decide_nodes: `prefix` is a monotone per-node cost prefix
-/// (size n + 1, e.g. from degree_cost_prefix or a CSR offset array) and
-/// drives cost-balanced chunk boundaries, so hub nodes in a skewed degree
-/// distribution no longer serialize the tail of the decision. Results are
-/// bit-identical to the unweighted overload — only scheduling changes.
-template <typename Prefix, typename F>
-std::vector<char> decide_nodes(int n, const Prefix& prefix, F&& decide) {
-  std::vector<char> accepts(static_cast<std::size_t>(n), 1);
-  auto fn = std::forward<F>(decide);
-  parallel_for_weighted(n, prefix, [&](std::int64_t v) {
-    bool ok = false;
-    try {
-      ok = fn(static_cast<NodeId>(v));
-    } catch (...) {
-      ok = false;
-    }
-    if (!ok) accepts[static_cast<std::size_t>(v)] = 0;
-  });
-  return accepts;
-}
-
-/// Firewalled decision with reject-reason reporting. `decide(v, verdict)`
-/// performs checked reads (recording structural defects in `verdict`) and
-/// returns whether its semantic checks passed; a false return records
-/// check_failed, a throw records malformed_label. Same determinism contract
-/// as decide_nodes.
+/// Exception firewall: anything thrown by decide(v) is absorbed as a
+/// malformed_label reject for v (never rethrown), so a Byzantine transcript
+/// cannot crash the verifier through the executor's rethrow path. Decision
+/// code should not rely on this — it uses checked reads and records precise
+/// reasons — but the firewall guarantees the never-throw contract.
 template <typename F>
 std::vector<RejectReason> decide_nodes_reasons(int n, F&& decide) {
   std::vector<RejectReason> reasons(static_cast<std::size_t>(n), RejectReason::none);
@@ -146,7 +91,11 @@ std::vector<RejectReason> decide_nodes_reasons(int n, F&& decide) {
   return reasons;
 }
 
-/// Degree-aware decide_nodes_reasons; see the weighted decide_nodes overload.
+/// Degree-aware decide_nodes_reasons: `prefix` is a monotone per-node cost
+/// prefix (size n + 1, e.g. from degree_cost_prefix or a CSR offset array)
+/// and drives cost-balanced chunk boundaries, so hub nodes in a skewed degree
+/// distribution no longer serialize the tail of the decision. Results are
+/// bit-identical to the unweighted overload — only scheduling changes.
 template <typename Prefix, typename F>
 std::vector<RejectReason> decide_nodes_reasons(int n, const Prefix& prefix, F&& decide) {
   std::vector<RejectReason> reasons(static_cast<std::size_t>(n), RejectReason::none);
@@ -164,11 +113,8 @@ std::vector<RejectReason> decide_nodes_reasons(int n, const Prefix& prefix, F&& 
   return reasons;
 }
 
-/// Accept flags implied by a reason vector (none => accept).
-std::vector<char> accepts_from_reasons(const std::vector<RejectReason>& reasons);
-
 /// Monotone cost prefix (size n + 1) with per-node cost 1 + degree(v): the
-/// canonical input for the weighted decide overloads when the decision body
+/// canonical input for the weighted decide overload when the decision body
 /// scans the node's neighborhood.
 std::vector<std::int64_t> degree_cost_prefix(const Graph& g);
 

@@ -1,17 +1,13 @@
 // Tests for the executable one-round PLS baselines and the extra protocol
-// surface (Theorem 6.1 wrapper, DOT export).
+// surface (Theorem 6.1 wrapper).
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "dip/faults.hpp"
 #include "gen/generators.hpp"
 #include "graph/algorithms.hpp"
-#include "graph/dot.hpp"
 #include "protocols/baseline_pls.hpp"
 #include "protocols/outerplanarity.hpp"
 #include "support/bits.hpp"
-#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace lrdip {
@@ -118,43 +114,6 @@ TEST(BiconnectedOuterplanarity, AttachedFaultInjectorFires) {
   EXPECT_GT(inj.total_faults(), 0);
   EXPECT_EQ(inj.total_faults(), inj.count(FaultModel::label_drop));
   EXPECT_FALSE(o.accepted);
-}
-
-TEST(Dot, UndirectedWithPath) {
-  Rng rng(6);
-  const auto gi = random_path_outerplanar(6, 1.0, rng);
-  DotStyle style;
-  style.path_order = gi.order;
-  const std::string dot = to_dot(gi.graph, style);
-  EXPECT_NE(dot.find("graph lrdip {"), std::string::npos);
-  EXPECT_NE(dot.find("rank=same"), std::string::npos);
-  EXPECT_NE(dot.find("penwidth=2.4"), std::string::npos);
-  EXPECT_EQ(dot.find("->"), std::string::npos);
-}
-
-TEST(Dot, DirectedWithClasses) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  DotStyle style;
-  style.tails = std::vector<NodeId>{1, 1};  // both edges out of node 1
-  style.node_class = std::vector<int>{0, 1, 0};
-  style.edge_attrs = std::vector<std::string>{"color=red", ""};
-  const std::string dot = to_dot(g, style);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("1 -> 0"), std::string::npos);
-  EXPECT_NE(dot.find("1 -> 2"), std::string::npos);
-  EXPECT_NE(dot.find("color=red"), std::string::npos);
-  EXPECT_NE(dot.find("fillcolor"), std::string::npos);
-}
-
-TEST(Dot, RejectsForeignTail) {
-  Graph g(2);
-  g.add_edge(0, 1);
-  DotStyle style;
-  style.tails = std::vector<NodeId>{5};
-  std::ostringstream ss;
-  EXPECT_THROW(write_dot(ss, g, style), InvariantError);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "support/check.hpp"
+#include "dip/faults.hpp"
+#include "dip/store.hpp"
 #include "gen/generators.hpp"
 #include "graph/algorithms.hpp"
 #include "protocols/forest_encoding.hpp"
@@ -142,6 +144,37 @@ TEST(SpanningTree, ProofSizeIsLinearInRepetitions) {
   EXPECT_EQ(finalize(r2).proof_size_bits, 64);
 }
 
+TEST(SpanningTree, CoinAccountingPerRole) {
+  Rng rng(4);
+  const Graph g = path_graph(5);
+  const std::vector<NodeId> parent{-1, 0, 1, 2, 3};
+  const Outcome o = finalize(verify_spanning_tree(g, parent, 8, rng));
+  EXPECT_TRUE(o.accepted);
+  EXPECT_EQ(o.max_coin_bits, 2 * 8);  // the root draws rho + nonce
+}
+
+TEST(SpanningTree, DecisionUsesOnlyLocalViews) {
+  // The decision function throws if the protocol code ever reads beyond the
+  // node's locality — exercised here by feeding it a wrong "child".
+  using L = StLayout;
+  Rng rng(5);
+  const Graph g = path_graph(4);  // 0-1-2-3
+  LabelStore labels(g, 3);
+  CoinStore coins(g, 3);
+  for (NodeId v = 0; v < 4; ++v) {
+    Label s;
+    s.put_flag(v == 0);
+    labels.assign_node(L::kRoundStructure, v, std::move(s));
+    coins.draw(L::kRoundCoins, v, v == 0 ? 2 : 1, 256, 8, rng);
+    Label r;
+    r.put(0, 8).put(0, 8);
+    labels.assign_node(L::kRoundResponse, v, std::move(r));
+  }
+  const NodeView view(labels, coins, 0);
+  // Node 3 is not a neighbor of node 0: the view must refuse.
+  EXPECT_THROW(spanning_tree_node_verdict(view, -1, {3}), InvariantError);
+}
+
 // ------------------------------------------------ multiset equality (L2.6)
 
 MultisetEqualityInput equal_inputs(const Graph& g, Rng& rng, std::uint64_t k,
@@ -189,18 +222,51 @@ TEST(MultisetEquality, RejectsUnequalMultisets) {
   EXPECT_EQ(rejects, trials);  // soundness error ~ 1/k^2
 }
 
+/// A prover lying about one subtree product: adds 17 (mod p) to one node's
+/// A1 label in transit, through the seam every adversary uses.
+class TamperOneA1 final : public FaultInjector {
+ public:
+  TamperOneA1(NodeId victim, const Fp& f)
+      : FaultInjector(FaultPlan{0, 0.0, 0}), victim_(victim), f_(f) {}
+
+  using FaultInjector::corrupt;
+  void corrupt(LabelStore& labels) override {
+    Label& l = labels.mutable_node_label(MeLayout::kRoundResponse, victim_);
+    l.forge_value(MeLayout::kFieldA1, f_.add(l.get(MeLayout::kFieldA1), 17));
+  }
+
+ private:
+  NodeId victim_;
+  Fp f_;
+};
+
 TEST(MultisetEquality, CheatingAggregatesAreCaughtLocally) {
   Rng rng(11);
   const auto inst = random_planar(60, 0.4, rng);
   const RootedForest tree = bfs_tree(inst.graph, 0);
   auto in = equal_inputs(inst.graph, rng, 32, 2);
-  MultisetCheat cheat;
-  cheat.a1_offset.assign(inst.graph.n(), 0);
-  cheat.a2_offset.assign(inst.graph.n(), 0);
-  cheat.a1_offset[5] = 17;  // tamper with one aggregate
+  TamperOneA1 cheat(5, multiset_equality_field(32, 2));
   const auto res = verify_multiset_equality(inst.graph, tree, in, rng, &cheat);
   // Tampering at node 5 breaks either its own or its parent's recurrence.
   EXPECT_FALSE(res.all_accept());
+}
+
+TEST(MultisetEquality, CorruptedTranscriptRejectsWithoutThrowing) {
+  // The never-throw contract at Lemma 2.6's fault seam: every fault model at
+  // rate 1 fires and yields a rejecting stage, never an exception.
+  Rng rng(13);
+  const auto inst = random_planar(60, 0.4, rng);
+  const RootedForest tree = bfs_tree(inst.graph, 0);
+  const auto in = equal_inputs(inst.graph, rng, 32, 2);
+  for (int m = 0; m < kNumFaultModels; ++m) {
+    const FaultModel model = static_cast<FaultModel>(m);
+    FaultInjector inj({static_cast<std::uint64_t>(m) + 1, 1.0, fault_bit(model)});
+    StageResult res;
+    ASSERT_NO_THROW(res = verify_multiset_equality(inst.graph, tree, in, rng, &inj))
+        << fault_model_name(model);
+    EXPECT_GT(inj.total_faults(), 0) << fault_model_name(model);
+    EXPECT_FALSE(res.all_accept()) << fault_model_name(model);
+  }
 }
 
 TEST(MultisetEquality, ProofSizeTracksFieldWidth) {
@@ -227,7 +293,7 @@ TEST(Stage, ComposeParallelSumsBitsAndMaxesRounds) {
   StageResult b = empty_stage(3);
   b.node_bits = {10, 10, 10};
   b.rounds = 5;
-  b.node_accepts[1] = 0;
+  b.reject(1);
   const StageResult c = compose_parallel(a, b);
   EXPECT_EQ(c.node_bits[2], 13);
   EXPECT_EQ(c.rounds, 5);

@@ -1,13 +1,9 @@
-// Tests for the Section 3 locality barrier and the labeled multiset-equality
-// reference implementation.
+// Tests for the Section 3 locality barrier.
 #include <gtest/gtest.h>
 
-#include "support/check.hpp"
 #include "gen/generators.hpp"
-#include "graph/algorithms.hpp"
 #include "graph/planarity.hpp"
 #include "protocols/locality.hpp"
-#include "protocols/multiset_equality_labeled.hpp"
 #include "protocols/planar_embedding.hpp"
 #include "support/rng.hpp"
 
@@ -48,56 +44,6 @@ TEST(Locality, PlanarGraphsHavePlanarBallsEverywhere) {
   Rng rng(3);
   const auto gi = random_planar(120, 0.4, rng);
   EXPECT_TRUE(all_balls_planar(gi.graph, 4));
-}
-
-TEST(MeLabeled, MatchesArrayImplementation) {
-  Rng rng(4);
-  const auto gi = random_planar(60, 0.4, rng);
-  const RootedForest tree = bfs_tree(gi.graph, 0);
-  for (int t = 0; t < 20; ++t) {
-    MultisetEqualityInput in;
-    in.s1.resize(gi.graph.n());
-    in.s2.resize(gi.graph.n());
-    in.size_bound = 32;
-    in.universe_exponent = 2;
-    const bool make_equal = t % 2 == 0;
-    for (int i = 0; i < 32; ++i) {
-      const std::uint64_t val = rng.uniform(1024);
-      in.s1[rng.uniform(gi.graph.n())].push_back(val);
-      in.s2[rng.uniform(gi.graph.n())].push_back(make_equal ? val : val ^ 1);
-    }
-    const Outcome o = verify_multiset_equality_labeled(gi.graph, tree, in, rng);
-    EXPECT_EQ(o.rounds, 2);
-    if (make_equal) {
-      EXPECT_TRUE(o.accepted);
-      const Fp f = multiset_equality_field(32, 2);
-      EXPECT_EQ(o.proof_size_bits, 3 * f.element_bits());
-    }
-    const StageResult arr = verify_multiset_equality(gi.graph, tree, in, rng);
-    // The two implementations agree on equal inputs deterministically; on
-    // unequal inputs both reject up to independent PIT luck (~1/k^2).
-    if (make_equal) {
-      EXPECT_TRUE(arr.all_accept());
-    }
-  }
-}
-
-TEST(MeLabeled, RejectsUnequalMultisets) {
-  Rng rng(5);
-  const auto gi = random_planar(50, 0.4, rng);
-  const RootedForest tree = bfs_tree(gi.graph, 0);
-  int rejects = 0;
-  const int trials = 60;
-  for (int t = 0; t < trials; ++t) {
-    MultisetEqualityInput in;
-    in.s1.resize(gi.graph.n());
-    in.s2.resize(gi.graph.n());
-    in.size_bound = 16;
-    in.universe_exponent = 2;
-    in.s1[rng.uniform(gi.graph.n())].push_back(1 + rng.uniform(200));
-    rejects += !verify_multiset_equality_labeled(gi.graph, tree, in, rng).accepted;
-  }
-  EXPECT_EQ(rejects, trials);
 }
 
 }  // namespace

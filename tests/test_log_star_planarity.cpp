@@ -87,7 +87,7 @@ TEST(LogStarPlanarity, ProofSizeBeatsLrSortingOnTheSameInstance) {
   // (its Theta(log n) bare position label is still cheap at this size; the
   // asymptotic crossover against the framed interactive protocols is the
   // sweep's story, not a unit test's).
-  const Outcome pls = run_log_star_planarity_baseline_pls(ls);
+  const Outcome pls = run_protocol_baseline_pls(make_instance(ls));
   ASSERT_TRUE(pls.accepted);
   EXPECT_EQ(pls.rounds, 1);
 }

@@ -149,12 +149,6 @@ TEST(OuterplanarityProtocol, ProofSizeDoublyLogarithmic) {
   ASSERT_TRUE(o1.accepted);
   ASSERT_TRUE(o2.accepted);
   EXPECT_LT(o2.proof_size_bits, o1.proof_size_bits * 3 / 2);
-  // Baseline oracle is O(n^2): exercise it only at a small size.
-  Rng rng2(8);
-  const auto small = random_outerplanar_with_cert(64, 3, rng2);
-  const Outcome b = run_outerplanarity_baseline_pls({&small.graph, {}});
-  EXPECT_TRUE(b.accepted);
-  EXPECT_EQ(b.proof_size_bits, 4 * 6);  // 4 ceil(log2 64)
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include "gen/generators.hpp"
 #include "graph/outerplanar.hpp"
 #include "protocols/path_outerplanarity.hpp"
+#include "protocols/registry.hpp"
 #include "support/rng.hpp"
 
 namespace lrdip {
@@ -89,14 +90,15 @@ TEST(PathOuterplanarityProtocol, BaselineAgrees) {
   Rng rng(7);
   const auto gi = random_path_outerplanar(200, 1.0, rng);
   const PathOuterplanarityInstance yes{&gi.graph, gi.order};
-  EXPECT_TRUE(run_path_outerplanarity_baseline_pls(yes).accepted);
-  EXPECT_EQ(run_path_outerplanarity_baseline_pls(yes).rounds, 1);
+  const Outcome yes_pls = run_protocol_baseline_pls(make_instance(yes));
+  EXPECT_TRUE(yes_pls.accepted);
+  EXPECT_EQ(yes_pls.rounds, 1);
 
   const Graph bad = crossing_chords_no_instance(50, rng);
   std::vector<NodeId> order(bad.n());
   for (int i = 0; i < bad.n(); ++i) order[i] = i;
   const PathOuterplanarityInstance no{&bad, order};
-  EXPECT_FALSE(run_path_outerplanarity_baseline_pls(no).accepted);
+  EXPECT_FALSE(run_protocol_baseline_pls(make_instance(no)).accepted);
 }
 
 TEST(PathOuterplanarityProtocol, SparseAndDenseInstances) {

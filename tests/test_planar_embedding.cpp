@@ -173,13 +173,5 @@ TEST(PlanarityProtocol, DegreeTermInProofSize) {
   EXPECT_GE(ow.proof_size_bits - on.proof_size_bits, 6);
 }
 
-TEST(PlanarityProtocol, BaselineAgrees) {
-  Rng rng(11);
-  const auto gi = random_planar(60, 0.4, rng);
-  EXPECT_TRUE(run_planarity_baseline_pls({&gi.graph, &gi.rotation}).accepted);
-  const Graph bad = plant_subdivision(path_graph(10), complete_graph(5), 2, rng);
-  EXPECT_FALSE(run_planarity_baseline_pls({&bad, nullptr}).accepted);
-}
-
 }  // namespace
 }  // namespace lrdip

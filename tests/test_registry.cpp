@@ -137,13 +137,14 @@ TEST(Registry, CertContractMatchesBindBehavior) {
   }
 }
 
-TEST(Registry, PlsBaselinesCoverAllButEmbedding) {
+// run_pls holds executable schemes only (real labels, local checks); every
+// other task keeps just its textbook width.
+TEST(Registry, PlsBaselinesAreExecutableSchemesOnly) {
   for (const ProtocolSpec& spec : protocol_registry()) {
-    if (spec.task == Task::embedding) {
-      EXPECT_EQ(spec.run_pls, nullptr);
-    } else {
-      EXPECT_NE(spec.run_pls, nullptr) << spec.name;
-    }
+    const bool executable = spec.task == Task::lr_sorting ||
+                            spec.task == Task::path_outerplanar ||
+                            spec.task == Task::log_star_planarity;
+    EXPECT_EQ(spec.run_pls != nullptr, executable) << spec.name;
     EXPECT_GT(spec.pls_bits(1 << 12), 0) << spec.name;
   }
 }

@@ -1,8 +1,8 @@
 // Failure injection and brute-force cross-validation.
 //
-// * Label tampering: flipping any prover label bit in the NodeView-based
-//   spanning-tree protocol must flip some local check (the checks are exact,
-//   not heuristic).
+// * Label tampering: flipping any prover label bit in the spanning-tree
+//   protocol must flip some local check (the checks are exact, not
+//   heuristic).
 // * Biconnectivity: the Hopcroft-Tarjan decomposition agrees with the
 //   O(n(n+m)) remove-a-node oracle on random graphs.
 // * Planarity: the planar_embedding rotation has Euler genus 0, and
@@ -16,7 +16,7 @@
 #include "graph/biconnected.hpp"
 #include "graph/outerplanar.hpp"
 #include "graph/planarity.hpp"
-#include "protocols/spanning_tree_labeled.hpp"
+#include "protocols/spanning_tree.hpp"
 #include "support/rng.hpp"
 #include "test_instances.hpp"
 
@@ -62,7 +62,8 @@ TEST(FailureInjection, TamperedXValueIsDetected) {
   int failures = 0;
   for (NodeId v = 0; v < g.n(); ++v) {
     const NodeView view(labels, coins, v);
-    failures += !st_labeled_node_decision(view, tree.parent[v], children[v]);
+    failures += spanning_tree_node_verdict(view, tree.parent[v], children[v]) !=
+                RejectReason::none;
   }
   // The victim's own equation breaks, or its parent's (or both).
   EXPECT_GE(failures, 1);
@@ -102,7 +103,9 @@ TEST(FailureInjection, TamperedNonceEchoIsDetected) {
   bool any_failure = false;
   for (NodeId v = 0; v < g.n(); ++v) {
     const NodeView view(labels, coins, v);
-    if (!st_labeled_node_decision(view, tree.parent[v], children[v])) any_failure = true;
+    if (spanning_tree_node_verdict(view, tree.parent[v], children[v]) != RejectReason::none) {
+      any_failure = true;
+    }
   }
   EXPECT_TRUE(any_failure);  // a neighbor of the victim sees the mismatch
 }

@@ -57,14 +57,14 @@ std::vector<Outcome> sequential_reference(const std::vector<BatchItem>& items, i
   return out;
 }
 
-TEST(Runtime, BatchIsBitIdenticalAtAnyThreadCount) {
-  const Batch b = make_mixed_batch();
-  const std::vector<Outcome> reference = sequential_reference(b.items, 3);
-  ASSERT_EQ(reference.size(), b.items.size());
+/// run_batch at 1, 2 and 8 threads must equal the sequential reference.
+void expect_batch_matches_sequential(const std::vector<BatchItem>& items) {
+  const std::vector<Outcome> reference = sequential_reference(items, 3);
+  ASSERT_EQ(reference.size(), items.size());
   const Runtime rt;
   for (const int threads : {1, 2, 8}) {
     set_parallel_threads(threads);
-    const std::vector<Outcome> got = rt.run_batch(b.items);
+    const std::vector<Outcome> got = rt.run_batch(items);
     set_parallel_threads(0);
     ASSERT_EQ(got.size(), reference.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
@@ -74,21 +74,22 @@ TEST(Runtime, BatchIsBitIdenticalAtAnyThreadCount) {
   }
 }
 
-// The axis choice (across-instance vs within-instance) must be unobservable
-// in the results: a threshold of 0 forces every item down the sequential
-// within-parallel path, the default sends these small instances across.
-TEST(Runtime, PartitionThresholdDoesNotChangeResults) {
+TEST(Runtime, BatchIsBitIdenticalAtAnyThreadCount) {
   const Batch b = make_mixed_batch();
-  const Runtime across;  // default threshold: all of these run across
-  Runtime::Config cfg;
-  cfg.small_instance_threshold = 0;
-  const Runtime within(cfg);
-  const std::vector<Outcome> a = across.run_batch(b.items);
-  const std::vector<Outcome> w = within.run_batch(b.items);
-  ASSERT_EQ(a.size(), w.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    expect_outcome_eq(a[i], w[i], "item=" + std::to_string(i));
-  }
+  expect_batch_matches_sequential(b.items);
+}
+
+// The axis choice (across-instance vs within-instance) must be unobservable
+// in the results: one lr-sorting item at twice the threshold runs
+// within-parallel in the same batch as the small items that run across it.
+TEST(Runtime, BothAxesInOneBatchMatchSequentialLoop) {
+  Batch b = make_mixed_batch();
+  Rng gen_rng(0xfeed1000ull);
+  b.bound.push_back(
+      protocol_spec(Task::lr_sorting).make_yes(2 * kSmallInstanceThreshold, gen_rng));
+  b.items.push_back({b.bound.back().view(), 6000});
+  ASSERT_GE(b.items.back().inst.graph().n(), kSmallInstanceThreshold);
+  expect_batch_matches_sequential(b.items);
 }
 
 TEST(Runtime, RunMatchesFreeFunction) {

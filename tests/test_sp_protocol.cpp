@@ -171,15 +171,5 @@ TEST(Treewidth2Protocol, RejectsPlantedK4) {
   EXPECT_EQ(rejects, trials);
 }
 
-TEST(Treewidth2Protocol, BaselinesAgree) {
-  Rng rng(10);
-  const Tw2CertInstance yes = random_treewidth2_with_cert(90, 3, rng);
-  EXPECT_TRUE(run_treewidth2_baseline_pls({&yes.graph, {}}).accepted);
-  const Graph no = treewidth2_no_instance(90, 3, rng);
-  EXPECT_FALSE(run_treewidth2_baseline_pls({&no, {}}).accepted);
-  const SpInstance sp = random_series_parallel(60, rng);
-  EXPECT_TRUE(run_series_parallel_baseline_pls({&sp.graph, sp.ears}).accepted);
-}
-
 }  // namespace
 }  // namespace lrdip

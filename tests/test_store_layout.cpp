@@ -21,7 +21,7 @@
 #include "protocols/lr_sorting.hpp"
 #include "protocols/outerplanarity.hpp"
 #include "protocols/planar_embedding.hpp"
-#include "protocols/spanning_tree_labeled.hpp"
+#include "protocols/spanning_tree.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -162,12 +162,12 @@ Outcome run_planar_embedding_fixed() {
   return run_planar_embedding(inst, {3}, rng);
 }
 
-Outcome run_spanning_tree_labeled_fixed() {
+Outcome run_spanning_tree_fixed() {
   Rng gen(4444);
   const Graph g = random_tree(500, gen);
   const RootedForest t = bfs_tree(g, 0);
   Rng rng(1111);
-  return verify_spanning_tree_labeled(g, t.parent, 16, rng);
+  return finalize(verify_spanning_tree(g, t.parent, 16, rng));
 }
 
 TEST(StoreLayoutRegression, LrSortingBitAccountingMatchesSeed) {
@@ -182,8 +182,10 @@ TEST(StoreLayoutRegression, PlanarEmbeddingBitAccountingMatchesSeed) {
   ExpectOutcome(run_planar_embedding_fixed(), {true, 5, 1932, 536836, 152});
 }
 
-TEST(StoreLayoutRegression, SpanningTreeLabeledBitAccountingMatchesSeed) {
-  ExpectOutcome(run_spanning_tree_labeled_fixed(), {true, 3, 33, 16500, 32});
+// The root flag is not charged here: the protocol's callers charge it inside
+// their forest code.
+TEST(StoreLayoutRegression, SpanningTreeBitAccountingMatchesSeed) {
+  ExpectOutcome(run_spanning_tree_fixed(), {true, 3, 32, 16000, 32});
 }
 
 // ------------------------------------------------ executor determinism
@@ -198,7 +200,7 @@ TEST_P(ThreadCountSweep, OutcomesIndependentOfThreadCount) {
   const Outcome base_lr = run_lr_fixed();
   const Outcome base_op = run_outerplanarity_fixed();
   const Outcome base_pe = run_planar_embedding_fixed();
-  const Outcome base_st = run_spanning_tree_labeled_fixed();
+  const Outcome base_st = run_spanning_tree_fixed();
 
   set_parallel_threads(GetParam());
   EXPECT_EQ(parallel_threads(), GetParam());
@@ -210,7 +212,7 @@ TEST_P(ThreadCountSweep, OutcomesIndependentOfThreadCount) {
   ExpectOutcome(run_planar_embedding_fixed(),
                 {base_pe.accepted, base_pe.rounds, base_pe.proof_size_bits,
                  base_pe.total_label_bits, base_pe.max_coin_bits});
-  ExpectOutcome(run_spanning_tree_labeled_fixed(),
+  ExpectOutcome(run_spanning_tree_fixed(),
                 {base_st.accepted, base_st.rounds, base_st.proof_size_bits,
                  base_st.total_label_bits, base_st.max_coin_bits});
   set_parallel_threads(0);
