@@ -44,6 +44,7 @@ struct ReductionResult {
   bool success = false;
   SpArena arena;
   int root = -1;  // arena index of the final composite edge
+  std::vector<int> live_roots;  // arena indices of the composites left alive
 };
 
 /// Runs the series/parallel reduction on a connected multigraph. Success iff a
@@ -92,7 +93,6 @@ ReductionResult sp_reduce(const Graph& g) {
   }
   for (NodeId v = 0; v < g.n(); ++v) node_queue.push_back(v);
 
-  int alive_count = g.m();
   while (!pair_queue.empty() || !node_queue.empty()) {
     if (!pair_queue.empty()) {
       const auto key = pair_queue.front();
@@ -114,7 +114,6 @@ ReductionResult sp_reduce(const Graph& g) {
         kill(e1);
         kill(e2);
         add_live(s, t, comp);  // add_live registers the new edge in `bucket`
-        --alive_count;
         node_queue.push_back(s);
         node_queue.push_back(t);
       }
@@ -145,21 +144,35 @@ ReductionResult sp_reduce(const Graph& g) {
     kill(e1);
     kill(e2);
     add_live(a, b, comp);
-    --alive_count;
     pair_queue.push_back(key_of(a, b));
     node_queue.push_back(a);
     node_queue.push_back(b);
   }
 
-  if (alive_count != 1) return res;
   for (const Live& l : live) {
-    if (l.alive) {
-      res.root = l.arena_idx;
-      res.success = true;
-      break;
-    }
+    if (l.alive) res.live_roots.push_back(l.arena_idx);
   }
+  res.success = res.live_roots.size() == 1;
+  if (res.success) res.root = res.live_roots.front();
   return res;
+}
+
+/// The edge ids, increasing, reachable from a composite a failed reduction
+/// left alive through series nodes only (a live single edge is its own
+/// spine). Leaf e is arena node e: the leaves were added first, in edge order.
+std::vector<EdgeId> spine_edges(const ReductionResult& res) {
+  std::vector<EdgeId> out;
+  std::vector<int> stack = res.live_roots;
+  while (!stack.empty()) {
+    const int idx = stack.back();
+    stack.pop_back();
+    const SpArena::Node& node = res.arena.nodes[idx];
+    if (node.type == SpArena::Type::kLeaf) out.push_back(idx);
+    if (node.type != SpArena::Type::kSeries) continue;
+    for (const SpArena::Child& c : node.children) stack.push_back(c.idx);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 /// Node sequence of the composite edge from s to t (respecting flips).
@@ -218,6 +231,20 @@ void collect_ears(const SpArena& arena, int idx, bool flipped, int host,
   }
 }
 
+/// The ears of a successful reduction, first ear = the root composite's path.
+EarDecomposition ears_of(const ReductionResult& res) {
+  LRDIP_CHECK(res.success);
+  EarDecomposition ears;
+  ears.push_back({path_of(res.arena, res.root, false), -1});
+  collect_ears(res.arena, res.root, false, 0, ears);
+  return ears;
+}
+
+EarDecomposition single_edge_ear(const Graph& g) {
+  const auto [u, v] = g.endpoints(0);
+  return EarDecomposition{{{u, v}, -1}};
+}
+
 }  // namespace
 
 bool is_series_parallel(const Graph& g) {
@@ -264,16 +291,31 @@ bool is_treewidth_at_most_2(const Graph& g) {
 std::optional<EarDecomposition> nested_ear_decomposition(const Graph& g) {
   LRDIP_CHECK(g.n() >= 2);
   if (!is_connected(g)) return std::nullopt;
-  if (g.m() == 1) {
-    const auto [u, v] = g.endpoints(0);
-    return EarDecomposition{{{u, v}, -1}};
-  }
-  ReductionResult res = sp_reduce(g);
+  if (g.m() == 1) return single_edge_ear(g);
+  const ReductionResult res = sp_reduce(g);
   if (!res.success) return std::nullopt;
-  EarDecomposition ears;
-  ears.push_back({path_of(res.arena, res.root, false), -1});
-  collect_ears(res.arena, res.root, false, 0, ears);
-  return ears;
+  return ears_of(res);
+}
+
+std::optional<EarDecomposition> one_deletion_ear_decomposition(const Graph& g) {
+  LRDIP_CHECK(g.n() >= 2);
+  if (!is_connected(g)) return std::nullopt;  // and so is every g - e
+  if (g.m() == 1) return single_edge_ear(g);
+  const ReductionResult res = sp_reduce(g);
+  if (res.success) return ears_of(res);
+  // Deleting an edge below a parallel node of a live composite fails too:
+  // replaying the reductions on g - e leaves the node's other branch in its
+  // place plus pendant chains, and a pendant edge never unsticks a reduction.
+  for (const EdgeId skip : spine_edges(res)) {
+    Graph h(g.n());
+    for (EdgeId e = 0; e < g.m(); ++e) {
+      if (e == skip) continue;
+      const auto [u, v] = g.endpoints(e);
+      h.add_edge(u, v);
+    }
+    if (auto ears = nested_ear_decomposition(h)) return ears;
+  }
+  return std::nullopt;
 }
 
 bool is_valid_nested_ear_decomposition(const Graph& g, const EarDecomposition& ears) {

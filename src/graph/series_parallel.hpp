@@ -31,6 +31,8 @@ bool is_treewidth_at_most_2(const Graph& g);
 struct Ear {
   std::vector<NodeId> path;
   int host = -1;
+
+  bool operator==(const Ear&) const = default;
 };
 
 using EarDecomposition = std::vector<Ear>;
@@ -38,6 +40,14 @@ using EarDecomposition = std::vector<Ear>;
 /// A nested ear decomposition of a series-parallel graph, or nullopt if g is
 /// not series-parallel. g must be connected with n >= 2.
 std::optional<EarDecomposition> nested_ear_decomposition(const Graph& g);
+
+/// The honest prover's best effort on a graph that may miss the class by one
+/// edge: the nested ear decomposition of g if it has one, else that of g - e
+/// for the smallest edge id e whose deletion leaves a connected graph that
+/// has one (its ears use g's node ids and skip e), else nullopt. One
+/// reduction of g answers the first question and names the only edges whose
+/// deletion can succeed. g must have n >= 2.
+std::optional<EarDecomposition> one_deletion_ear_decomposition(const Graph& g);
 
 /// Centralized validity oracle for an ear decomposition (conditions 1-3 plus
 /// the edge-partition property). Used in tests and by the verifier oracle.

@@ -351,8 +351,8 @@ BoundInstance near_no_sp(int n, Rng& rng) {
   // Keep the yes-instance's ear certificate and add only the K4 chord: the
   // prover commits the near-honest (doomed) decomposition — the chord pads
   // out as a dangling ear the verifier rejects — instead of re-running the
-  // centralized per-skipped-edge search on every execution, which would
-  // dominate the estimator's runtime.
+  // centralized one-deletion ear search on every execution, which would add
+  // several reductions of the whole graph to each of the estimator's runs.
   struct H {
     SpInstance gen;
     SeriesParallelInstance inst;

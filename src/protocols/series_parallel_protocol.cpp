@@ -18,30 +18,16 @@
 namespace lrdip {
 namespace {
 
-/// The prover's committed decomposition: the certificate / centralized result,
-/// padded so every edge belongs to some ear (uncovered edges become dangling
-/// single-edge ears whose host contains only one endpoint — the condition (1)
-/// violation the verifier then catches).
+/// The prover's committed decomposition: the certificate, else the
+/// centralized one of g or, best effort on a non-member, of g minus one edge
+/// (covers the single-K4-chord no-instances), padded so every edge belongs to
+/// some ear (uncovered edges become dangling single-edge ears whose host
+/// contains only one endpoint — the condition (1) violation the verifier then
+/// catches).
 std::optional<EarDecomposition> committed_ears(const Graph& g,
                                                const std::optional<EarDecomposition>& cert) {
-  std::optional<EarDecomposition> ears = cert;
-  if (!ears) ears = nested_ear_decomposition(g);
-  if (!ears) {
-    // Best effort: drop one edge and retry (covers the single-K4-chord
-    // no-instances); give up beyond that.
-    for (EdgeId skip = 0; skip < g.m() && !ears; ++skip) {
-      Graph h(g.n());
-      std::vector<EdgeId> host_edge;
-      for (EdgeId e = 0; e < g.m(); ++e) {
-        if (e == skip) continue;
-        const auto [u, v] = g.endpoints(e);
-        h.add_edge(u, v);
-      }
-      if (!is_connected(h)) continue;
-      ears = nested_ear_decomposition(h);
-    }
-    if (!ears) return std::nullopt;
-  }
+  std::optional<EarDecomposition> ears = cert ? cert : one_deletion_ear_decomposition(g);
+  if (!ears) return std::nullopt;
   // Pad uncovered edges.
   std::vector<char> covered(g.m(), 0);
   for (const Ear& ear : *ears) {

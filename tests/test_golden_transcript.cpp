@@ -1,11 +1,12 @@
 // Golden-transcript regression tests: byte-exact label-stream digests.
 //
-// For one small pinned-seed yes-instance per task, the FNV-1a digest of
-// everything the honest prover sends (every label field's value and declared
-// width, at every fault-seam call) must match the committed constant. A
-// refactor that silently changes what goes on the wire — new field order,
-// different widths, a changed rng draw — fails here loudly even when the
-// verdict stays "accept" and the proof-size budgets happen to agree.
+// For one small pinned-seed yes-instance per task, and for its near-no twin,
+// the FNV-1a digest of everything the honest prover sends (every label
+// field's value and declared width, at every fault-seam call) must match the
+// committed constant. A refactor that silently changes what goes on the
+// wire — new field order, different widths, a changed rng draw — fails here
+// loudly even when the verdict stays the same and the proof-size budgets
+// happen to agree.
 //
 // Updating a digest is a deliberate act: run this binary after the change,
 // copy the printed actual values into kGolden, and say why in the commit.
@@ -69,12 +70,61 @@ void expect_pinned(const Golden& g, int n) {
                               << " at n = " << n << "; repin to 0x" << std::hex << actual;
 }
 
+// The reject path: the honest label stream on each task's near-no instance
+// (same seeds, n = 2^7), where every run must reject. The centralized fallbacks
+// that only run on non-members (treewidth2's one-deletion search over its K4
+// block, above all) decide what goes on this wire, so a change to them that
+// commits a different decomposition fails here.
+constexpr int kNearNoN = 1 << 7;
+constexpr Golden kGoldenNearNo[kNumTasks] = {
+    {Task::lr_sorting, 0x941992c43be545c0ULL},
+    {Task::path_outerplanar, 0x95de250822476ce2ULL},
+    {Task::outerplanar, 0x0fd4920c5ed56f1aULL},
+    {Task::embedding, 0xe12166eb3e88325bULL},
+    {Task::planarity, 0x87cbce1b43258978ULL},
+    {Task::series_parallel, 0xd4f6756a99588769ULL},
+    {Task::treewidth2, 0x84dc17f4b112c449ULL},
+    {Task::log_star_planarity, 0xd0c514f8fe2a19c4ULL},
+};
+
+// treewidth2 again at the next generator seed, whose K4 block's first
+// successful deletion lies inside a series composite rather than on a live
+// edge of the failed reduction: a search that tried only the live edges
+// commits a different decomposition on both instances.
+constexpr std::uint64_t kSpineGenSeed = kGenSeed + 1;
+constexpr struct {
+  int n;
+  std::uint64_t digest;
+} kGoldenSpine[] = {
+    {1 << 7, 0xa0a96a19c5b8a2a1ULL},
+    {1 << 10, 0x89f75c3d30b42ecaULL},
+};
+
+void expect_near_no_pinned(Task task, int n, std::uint64_t gen_seed, std::uint64_t digest) {
+  SCOPED_TRACE(task_name(task));
+  const BoundInstance no = fixtures::near_no_instance(task, n, gen_seed);
+  adversary::TranscriptRecorder recorder;
+  Rng rng(kCoinSeed);
+  const Outcome o = run_protocol(no.view(), {3}, rng, &recorder);
+  EXPECT_FALSE(o.accepted);
+  const std::uint64_t actual = recorder.transcript().digest();
+  EXPECT_EQ(actual, digest) << "near-no transcript digest changed for " << task_name(task)
+                            << " at n = " << n << "; repin to 0x" << std::hex << actual;
+}
+
 TEST(GoldenTranscript, HonestLabelStreamDigestsArePinned) {
   for (const Golden& g : kGolden) expect_pinned(g, kN);
 }
 
 TEST(GoldenTranscript, ManyBlockDigestsArePinned) {
   for (const Golden& g : kGoldenManyBlocks) expect_pinned(g, kManyBlocksN);
+}
+
+TEST(GoldenTranscript, NearNoDigestsArePinned) {
+  for (const Golden& g : kGoldenNearNo) expect_near_no_pinned(g.task, kNearNoN, kGenSeed, g.digest);
+  for (const auto& [n, digest] : kGoldenSpine) {
+    expect_near_no_pinned(Task::treewidth2, n, kSpineGenSeed, digest);
+  }
 }
 
 TEST(GoldenTranscript, LogStarDigestIsThreadCountInvariant) {

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
-#include "support/check.hpp"
+#include <algorithm>
+#include <utility>
+
+#include "every_edge_retry.hpp"
 #include "gen/generators.hpp"
+#include "graph/algorithms.hpp"
+#include "graph/biconnected.hpp"
 #include "graph/series_parallel.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace lrdip {
@@ -85,6 +91,68 @@ TEST(SeriesParallel, ValidatorRejectsBadDecompositions) {
       g, {{{0, 1, 2, 3}, -1}, {{0, 1}, 0}, {{3, 0}, 0}}));
   // Correct.
   EXPECT_TRUE(is_valid_nested_ear_decomposition(g, {{{0, 1, 2, 3}, -1}, {{3, 0}, 0}}));
+}
+
+TEST(OneDeletionEars, SeriesCompositeEdgeIsACandidate) {
+  // K4 on {1, 2, 3, 4} with edge 3-4 subdivided by node 0. The reduction
+  // folds 3-0-4 into one series composite and stops; the first deletion that
+  // succeeds is edge 0 (0-3), inside that composite, not a live edge.
+  Graph g(5);
+  for (const auto& [u, v] : {std::pair{0, 3}, {0, 4}, {1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}}) {
+    g.add_edge(u, v);
+  }
+  ASSERT_FALSE(nested_ear_decomposition(g).has_value());
+  Graph without_first(5);
+  for (EdgeId e = 1; e < g.m(); ++e) {
+    without_first.add_edge(g.endpoints(e).first, g.endpoints(e).second);
+  }
+  const auto ears = one_deletion_ear_decomposition(g);
+  ASSERT_TRUE(ears.has_value());
+  EXPECT_TRUE(ears == nested_ear_decomposition(without_first));
+  EXPECT_TRUE(ears == reference::every_edge_retry(g));
+}
+
+TEST(OneDeletionEars, MatchesEveryEdgeRetryOnSeededNonMembers) {
+  // The blocks the treewidth-2 and series-parallel provers see on the
+  // near-no families, plus series-parallel graphs with two random chords,
+  // which may be two deletions short, so that no edge works. Up to n = 2^6
+  // each whole graph is checked too, cut nodes and all (the reference
+  // reduces a whole graph once per edge, which is slow beyond that).
+  int blocks = 0, retried = 0;
+  auto check_blocks = [&](const Graph& g) {
+    if (g.n() <= 64) {
+      EXPECT_TRUE(one_deletion_ear_decomposition(g) == reference::every_edge_retry(g));
+    }
+    const BiconnectedDecomposition d = biconnected_components(g);
+    for (int b = 0; b < d.num_components(); ++b) {
+      if (d.component_nodes[b].size() < 3) continue;
+      const Subgraph sub = make_subgraph(g, d.component_nodes[b], d.component_edges[b]);
+      EXPECT_TRUE(one_deletion_ear_decomposition(sub.graph) ==
+                  reference::every_edge_retry(sub.graph));
+      ++blocks;
+      retried += nested_ear_decomposition(sub.graph) ? 0 : 1;
+    }
+  };
+  for (int log_n = 5; log_n <= 8; ++log_n) {
+    const int n = 1 << log_n;
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+      SCOPED_TRACE(testing::Message() << "n = " << n << ", seed " << seed);
+      Rng rng(seed);
+      check_blocks(treewidth2_no_instance(n, std::max(1, n / 64), rng));
+      check_blocks(series_parallel_no_instance(n, rng));
+      Graph chorded = random_series_parallel(n, rng).graph;
+      for (int added = 0; added < 2;) {
+        const auto u = static_cast<NodeId>(rng.uniform(chorded.n()));
+        const auto v = static_cast<NodeId>(rng.uniform(chorded.n()));
+        if (u == v || chorded.has_edge(u, v)) continue;
+        chorded.add_edge(u, v);
+        ++added;
+      }
+      check_blocks(chorded);
+    }
+  }
+  EXPECT_GE(retried, 2 * 4 * 16);  // every near-no instance has a K4 block
+  EXPECT_GT(blocks, retried);
 }
 
 TEST(Treewidth2, Families) {
